@@ -1,133 +1,39 @@
-"""Parallel-DP benchmarks: multicore bushy search and batched serving.
+"""Batched-serving benchmark: one ``optimize_batch`` frame per shard.
 
-Two headline claims of the parallel level evaluator:
-
-* on a host with >= 4 CPUs, fanning each DP level's prefetched batch
-  across a thread pool makes the bushy search at >= 10 relations at
-  least 2x faster than the sequential path — with *bit-identical* plans
-  and objectives (the parity suite asserts the same across the whole
-  coster matrix; this file re-asserts it on the timed runs so the
-  speedup never comes from a different answer);
-* coalescing same-shard requests into one ``optimize_batch`` frame and
-  running the workers with level batching keeps cluster replay
-  throughput at least on par with the request-at-a-time wire path.
-
-The speedup assertion is skipped on hosts with fewer than 4 CPUs, where
-it cannot physically hold (``parse_parallelism("auto")`` collapses to
-the sequential path on 1 CPU); the snapshot records ``cpu_count`` so the
-numbers stay interpretable either way.  Bit-parity is asserted always.
+Coalescing same-shard requests into one ``optimize_batch`` frame keeps
+cluster replay throughput at least on par with the request-at-a-time
+wire path.  The snapshot records ``cpu_count`` so the numbers stay
+interpretable on any host.
 
 Results land in ``BENCH_parallel.json`` via ``record_snapshot``.  The
-committed copy is the regression baseline: the gate compares fresh
-dimensionless *ratios* (parallel speedup, batched-vs-plain throughput)
-against committed ones and fails on a >25% drop — wall-clock never
-gates, so a slower CI machine cannot trip it.  CI's ``bench-parallel``
-job runs this file with ``--quick`` and uploads the fresh snapshot.
+committed copy is the regression baseline: the gate compares the fresh
+dimensionless batched-vs-plain throughput ratio against the committed
+one and fails on a >25% drop — wall-clock never gates, so a slower CI
+machine cannot trip it.  CI's ``bench-parallel`` job runs this file
+with ``--quick`` and uploads the fresh snapshot.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
-import time
 
-import numpy as np
 import pytest
 
-from repro.core.context import OptimizationContext
-from repro.core.distributions import DiscreteDistribution
 from repro.cluster.replay import run_replay
-from repro.optimizer.costers import MultiParamCoster
-from repro.optimizer.systemr import SystemRDP
-from repro.workloads.queries import (
-    chain_query,
-    with_selectivity_uncertainty,
-    with_size_uncertainty,
-)
 
 from conftest import record_snapshot
 
 #: gate slack: fail when a fresh ratio drops below committed / this.
 _GATE_SLACK = 1.25
-#: the acceptance floor for the multicore bushy search.
-_MIN_SPEEDUP = 2.0
 
 _BASELINE_PATH = os.path.join(
     os.path.dirname(__file__), "BENCH_parallel.json"
 )
 
-MEMORY = DiscreteDistribution(
-    [5000.0, 2000.0, 900.0, 300.0], [0.3, 0.4, 0.2, 0.1]
-)
-
 #: fresh measurements accumulated across this module's tests, then
 #: snapshotted (and gated) at the end.
-_RESULTS: dict = {"bushy_dp": {}, "cluster": {}}
-
-
-def _timeit(fn, repeats: int = 3, loops: int = 1) -> float:
-    """Best-of-``repeats`` seconds per call of ``fn``."""
-    best = float("inf")
-    fn()  # warm context memos and pool spin-up outside the timing
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(loops):
-            fn()
-        best = min(best, (time.perf_counter() - start) / loops)
-    return best
-
-
-def _bushy_query(n_relations: int):
-    rng = np.random.default_rng(13)
-    return with_selectivity_uncertainty(
-        with_size_uncertainty(chain_query(n_relations, rng), 0.8), 0.8
-    )
-
-
-class TestBushyParallelSpeedup:
-    def test_parallel_bushy_dp(self, quick_mode):
-        n = 10 if quick_mode else 12
-        query = _bushy_query(n)
-        cpus = os.cpu_count() or 1
-
-        def run(parallelism):
-            engine = SystemRDP(
-                MultiParamCoster(MEMORY, fast=True),
-                plan_space="bushy",
-                context=OptimizationContext(query),
-                level_batching=True,
-                parallelism=parallelism,
-            )
-            return engine.optimize(query)
-
-        seq_res = run(None)
-        par_res = run("auto")
-        # The speedup must never come from a different answer.
-        assert par_res.plan.signature() == seq_res.plan.signature()
-        assert math.isclose(
-            par_res.objective, seq_res.objective, rel_tol=0.0, abs_tol=0.0
-        )
-
-        seq_s = _timeit(lambda: run(None))
-        par_s = _timeit(lambda: run("auto"))
-        speedup = seq_s / par_s
-        _RESULTS["bushy_dp"] = {
-            "relations": n,
-            "cpu_count": cpus,
-            "sequential_s": seq_s,
-            "parallel_s": par_s,
-            "speedup": speedup,
-            "speedup_asserted": cpus >= 4,
-        }
-        print(f"\n[bench-parallel] bushy n={n}: seq {seq_s:.3f}s "
-              f"par {par_s:.3f}s speedup {speedup:.2f}x on {cpus} CPUs")
-
-        if cpus >= 4:
-            assert speedup >= _MIN_SPEEDUP, (
-                f"parallel bushy DP only {speedup:.2f}x the sequential "
-                f"path on {cpus} CPUs (floor {_MIN_SPEEDUP}x)"
-            )
+_RESULTS: dict = {"cluster": {}}
 
 
 class TestClusterBatchedServing:
@@ -144,9 +50,7 @@ class TestClusterBatchedServing:
             schedule="unique",  # every request a fresh optimization
         )
         plain = run_replay(**common)
-        batched = run_replay(
-            **common, level_batching=True, parallelism="auto", batch_size=4
-        )
+        batched = run_replay(**common, batch_size=4)
         for report in (plain, batched):
             assert report["lost"] == 0 and report["errors"] == 0
             assert report["answered"] == report["accepted"]
@@ -180,14 +84,12 @@ class TestRegressionGate:
         """Record the snapshot; gate fresh ratios vs the committed ones.
 
         Runs last in the module (pytest executes in definition order),
-        after the timing tests populated ``_RESULTS``.  Workload sizes
+        after the timing test populated ``_RESULTS``.  Workload sizes
         differ between ``--quick`` and full mode, so the snapshot keeps
         one section per mode and the gate only compares like with like.
-        Only dimensionless ratios gate — and the bushy speedup only on
-        hosts where it was asserted in both runs, since a 1-CPU host's
-        ~1.0x is not comparable to a 4-CPU host's 2x+.
+        Only the dimensionless ratio gates.
         """
-        assert _RESULTS["bushy_dp"], "timing tests must run before the gate"
+        assert _RESULTS["cluster"], "timing tests must run before the gate"
         mode = "quick" if quick_mode else "full"
         committed = {}
         if os.path.exists(_BASELINE_PATH):
@@ -195,7 +97,6 @@ class TestRegressionGate:
                 committed = json.load(fh)
 
         payload = {
-            "min_speedup": _MIN_SPEEDUP,
             "gate_slack": _GATE_SLACK,
             "modes": dict(committed.get("modes", {})),
         }
@@ -205,30 +106,11 @@ class TestRegressionGate:
         baseline = committed.get("modes", {}).get(mode)
         if baseline is None:
             pytest.skip(f"no committed {mode!r}-mode baseline yet")
-        regressions = []
-
-        base_dp = baseline.get("bushy_dp", {})
-        fresh_dp = _RESULTS["bushy_dp"]
-        if base_dp.get("speedup_asserted") and fresh_dp["speedup_asserted"]:
-            floor = base_dp["speedup"] / _GATE_SLACK
-            if fresh_dp["speedup"] < floor:
-                regressions.append(
-                    f"bushy speedup: fresh {fresh_dp['speedup']:.2f}x < "
-                    f"floor {floor:.2f}x "
-                    f"(committed {base_dp['speedup']:.2f}x)"
-                )
-
-        base_cl = baseline.get("cluster", {})
-        fresh_cl = _RESULTS["cluster"]
-        if base_cl.get("batched_over_plain"):
-            floor = base_cl["batched_over_plain"] / _GATE_SLACK
-            if fresh_cl["batched_over_plain"] < floor:
-                regressions.append(
-                    f"batched replay ratio: fresh "
-                    f"{fresh_cl['batched_over_plain']:.2f}x < floor "
-                    f"{floor:.2f}x "
-                    f"(committed {base_cl['batched_over_plain']:.2f}x)"
-                )
-        assert not regressions, (
-            "parallel benchmark regression: " + "; ".join(regressions)
-        )
+        base_ratio = baseline.get("cluster", {}).get("batched_over_plain")
+        if base_ratio:
+            floor = base_ratio / _GATE_SLACK
+            fresh = _RESULTS["cluster"]["batched_over_plain"]
+            assert fresh >= floor, (
+                f"batched replay regression: fresh ratio {fresh:.2f}x < "
+                f"floor {floor:.2f}x (committed {base_ratio:.2f}x)"
+            )

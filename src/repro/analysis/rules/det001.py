@@ -52,7 +52,7 @@ __all__ = ["DeterminismRule"]
 
 #: executor/pool methods whose first positional argument is a function
 #: that will run as a pool task (concurrent.futures, multiprocessing
-#: pools, and this repository's WorkerPool.map_ordered).
+#: pools, and ordered-map wrappers around either).
 _POOL_METHODS = {
     "submit", "map", "imap", "imap_unordered", "starmap", "starmap_async",
     "apply_async", "map_async", "map_ordered",

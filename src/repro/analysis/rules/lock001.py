@@ -11,10 +11,10 @@ that keeps them sound is simple and checkable:
   ``global``-declared names inside a ``with <lock>:`` block — and a
   *write* includes item stores (``_REGISTRY[key] = v``), attribute
   stores, and in-place container mutators (``_REGISTRY.clear()``,
-  ``_QUEUE.append(...)``), not just rebinding the name.  The worker-pool
-  registry is the motivating case: ``get_pool`` publishing into a
-  shared module dict must hold the registry lock for the item store,
-  exactly as it must for the rebind.
+  ``_QUEUE.append(...)``), not just rebinding the name.  A module-level
+  executor registry is the motivating case: a lookup that publishes a
+  new executor into a shared module dict must hold the registry lock
+  for the item store, exactly as it must for the rebind.
 
 Reads are deliberately not flagged (many are benign racy reads of a
 single reference); helper methods designed to run with the lock already

@@ -162,12 +162,6 @@ class ClusterGateway:
     worker_threads / hot_entries / warm_limit / shared_max_entries /
     coarse_buckets / default_deadline:
         Forwarded into each shard's :class:`WorkerConfig`.
-    worker_level_batching / worker_parallelism:
-        Engine evaluation knobs applied service-wide inside every shard
-        (see :func:`repro.optimize`): batch DP levels through the
-        vectorized kernel and/or fan them across an intra-shard worker
-        pool.  Bit-invisible in every answer; per-request wire fields
-        override them.
     health_interval:
         Seconds between background health sweeps (``None`` disables the
         task; :meth:`check_health` can still be called manually).
@@ -187,8 +181,6 @@ class ClusterGateway:
         shared_max_entries: int = 4096,
         coarse_buckets: int = 3,
         default_deadline: Optional[float] = None,
-        worker_level_batching: Optional[bool] = None,
-        worker_parallelism=None,
         health_interval: Optional[float] = None,
         max_retries: int = 2,
     ):
@@ -206,8 +198,6 @@ class ClusterGateway:
         self._shared_max_entries = shared_max_entries
         self._coarse_buckets = coarse_buckets
         self._default_deadline = default_deadline
-        self._worker_level_batching = worker_level_batching
-        self._worker_parallelism = worker_parallelism
         self.health_interval = health_interval
         self.max_retries = max_retries
 
@@ -326,8 +316,6 @@ class ClusterGateway:
             shared_max_entries=self._shared_max_entries,
             coarse_buckets=self._coarse_buckets,
             default_deadline=self._default_deadline,
-            level_batching=self._worker_level_batching,
-            parallelism=self._worker_parallelism,
         )
 
     async def _spawn(self, shard: _Shard) -> None:
@@ -613,8 +601,6 @@ class ClusterGateway:
             "max_buckets": request.max_buckets,
             "fast": request.fast,
             "include_mean": request.include_mean,
-            "level_batching": request.level_batching,
-            "parallelism": request.parallelism,
         }
         future: "asyncio.Future[ClusterResult]" = (
             asyncio.get_event_loop().create_future()

@@ -88,8 +88,6 @@ async def replay(
     admission: Optional[AdmissionController] = None,
     kill_worker_at: Optional[int] = None,
     health_interval: Optional[float] = None,
-    level_batching: Optional[bool] = None,
-    parallelism=None,
     batch_size: int = 1,
 ) -> Dict[str, Any]:
     """Replay ``workload`` through a fresh gateway; return the report.
@@ -98,12 +96,9 @@ async def replay(
     been answered — the crash-resilience drill: the report's ``lost``
     must stay 0 because the gateway replays in-flight work.
 
-    ``level_batching``/``parallelism`` opt every shard's service into
-    the vectorized/parallel DP evaluation (bit-invisible in plans —
-    they only move the throughput numbers).  ``batch_size > 1`` sends
-    requests through :meth:`ClusterGateway.optimize_many` in groups of
-    that size, so same-shard requests share one ``optimize_batch``
-    frame write.
+    ``batch_size > 1`` sends requests through
+    :meth:`ClusterGateway.optimize_many` in groups of that size, so
+    same-shard requests share one ``optimize_batch`` frame write.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -117,8 +112,6 @@ async def replay(
         catalog_sources=catalog_sources,
         admission=admission,
         health_interval=health_interval,
-        worker_level_batching=level_batching,
-        worker_parallelism=parallelism,
     ) as gateway:
 
         def _account(index: int, result: ClusterResult) -> None:
@@ -178,8 +171,6 @@ async def replay(
             "concurrency": concurrency,
             "kill_worker_at": kill_worker_at,
             "cpu_count": os.cpu_count(),
-            "level_batching": level_batching,
-            "parallelism": parallelism,
             "batch_size": batch_size,
         },
         "wall_seconds": wall,
@@ -213,8 +204,6 @@ def run_replay(
     kill_worker_at: Optional[int] = None,
     admission: Optional[AdmissionController] = None,
     schedule: str = "zipf",
-    level_batching: Optional[bool] = None,
-    parallelism=None,
     batch_size: int = 1,
 ) -> Dict[str, Any]:
     """Synchronous entry point: build the workload and replay it."""
@@ -227,6 +216,5 @@ def run_replay(
     return asyncio.run(replay(
         workload, shards=shards, concurrency=concurrency,
         admission=admission, kill_worker_at=kill_worker_at,
-        level_batching=level_batching, parallelism=parallelism,
         batch_size=batch_size,
     ))

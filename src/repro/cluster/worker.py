@@ -29,7 +29,7 @@ from __future__ import annotations
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 from ..serving.service import OptimizeRequest, OptimizerService, ServingResult
 from ..tools.serialize import SerializationError, query_from_dict
@@ -57,11 +57,6 @@ class WorkerConfig:
     shared_max_entries: int = 4096
     coarse_buckets: int = 3
     default_deadline: Optional[float] = None
-    #: Service-wide engine knobs (see :class:`OptimizerService`): shard
-    #: processes opt into level batching / an intra-shard worker pool.
-    #: Bit-invisible in every answer, so safe to vary per deployment.
-    level_batching: Optional[bool] = None
-    parallelism: Union[None, bool, int, str] = None
     extra: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -114,10 +109,6 @@ def _decode_request(message: Dict[str, Any]) -> OptimizeRequest:
         max_buckets=int(message.get("max_buckets", 16)),
         fast=bool(message.get("fast", False)),
         include_mean=bool(message.get("include_mean", True)),
-        # None means "use the service default" (the shard's WorkerConfig
-        # knobs); an explicit wire value overrides it per request.
-        level_batching=message.get("level_batching"),
-        parallelism=message.get("parallelism"),
     )
 
 
@@ -163,8 +154,6 @@ def worker_main(sock, shared_state: SharedCacheState,
         catalog_sources=shims,
         coarse_buckets=config.coarse_buckets,
         default_deadline=config.default_deadline,
-        level_batching=config.level_batching,
-        parallelism=config.parallelism,
     )
 
     def _respond(request_id: int, future) -> None:

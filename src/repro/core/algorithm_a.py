@@ -36,8 +36,6 @@ def optimize_algorithm_a(
     allow_cross_products: bool = False,
     include_mean: bool = True,
     context: Optional[OptimizationContext] = None,
-    level_batching: Optional[bool] = None,
-    parallelism=None,
 ) -> OptimizationResult:
     """Run Algorithm A and return the candidate of least expected cost.
 
@@ -45,9 +43,7 @@ def optimize_algorithm_a(
     winner with its expected cost (best first); ``stats`` accumulates the
     counters of all ``b`` black-box invocations plus the final costing
     pass.  A shared ``context`` lets the ``b`` black-box invocations (and
-    any sibling optimizers) reuse memoized sizes and step costs;
-    ``level_batching``/``parallelism`` forward to each invocation's
-    engine and never change the result.
+    any sibling optimizers) reuse memoized sizes and step costs.
     """
     cm = cost_model if cost_model is not None else CostModel()
     if context is None:
@@ -64,8 +60,6 @@ def optimize_algorithm_a(
             plan_space=plan_space,
             allow_cross_products=allow_cross_products,
             context=context,
-            level_batching=level_batching,
-            parallelism=parallelism,
         )
         result = engine.optimize(query)
         stats = stats.merged_with(result.stats)

@@ -50,8 +50,6 @@ def optimize_algorithm_d(
     allow_cross_products: bool = False,
     top_k: int = 1,
     context: Optional[OptimizationContext] = None,
-    level_batching: Optional[bool] = None,
-    parallelism=None,
 ) -> OptimizationResult:
     """LEC optimization with distributional sizes and selectivities.
 
@@ -64,14 +62,6 @@ def optimize_algorithm_d(
         sort-merge / nested-loop / Grace hash instead of the naive triple
         loop.  Identical results (up to float rounding), fewer formula
         evaluations.
-    level_batching:
-        Forwarded to :class:`~repro.optimizer.systemr.SystemRDP`: batch
-        each DP level's join steps through the vectorized kernel.
-        Bit-identical plans and costs either way.
-    parallelism:
-        Fan prefetched level batches out across a worker pool (see
-        :func:`repro.core.parallel.parse_parallelism`); bit-identical
-        plans, costs and ``formula_evaluations`` either way.
     """
     coster = MultiParamCoster(
         memory,
@@ -85,8 +75,6 @@ def optimize_algorithm_d(
         allow_cross_products=allow_cross_products,
         top_k=top_k,
         context=context,
-        level_batching=level_batching,
-        parallelism=parallelism,
     )
     return engine.optimize(query)
 

@@ -65,12 +65,10 @@ from ..costmodel.estimates import (
 )
 from ..costmodel.model import CostModel
 from .distributions import DiscreteDistribution
-from .expected_cost import (
-    _SurvivalTable,
-    expected_join_costs_batched,
-    expected_join_costs_batched_parallel,
-)
-from .parallel import WorkerPool
+from .expected_cost import _SurvivalTable
+
+# Bound under its old name: perfbench/spans.py patches it here by name.
+from .expected_cost import expected_join_costs_batched as expected_join_costs_batched_parallel
 
 __all__ = ["CacheStats", "OptimizationContext", "query_fingerprint"]
 
@@ -380,7 +378,6 @@ class OptimizationContext:
             Tuple[JoinMethod, DiscreteDistribution, DiscreteDistribution]
         ],
         memory: DiscreteDistribution,
-        pool: Optional[WorkerPool] = None,
     ) -> List[float]:
         """``E[Φ]`` for many fast-path joins, one array kernel invocation.
 
@@ -393,12 +390,6 @@ class OptimizationContext:
         bit-identical to the equivalent single-pair
         :func:`~repro.core.expected_cost.expected_join_cost_fast` call,
         so batching can never change which plan a DP level picks.
-
-        ``pool`` (a :class:`~repro.core.parallel.WorkerPool`) fans the
-        memo *misses* out across workers in deterministic chunks; the
-        values, the memo contents and the hit/miss accounting all stay
-        bit-identical to the sequential call (see
-        :func:`~repro.core.expected_cost.expected_join_costs_batched_parallel`).
         """
         stats = self._stats["batched_joins"]
         keys = [
@@ -417,7 +408,7 @@ class OptimizationContext:
         if missing:
             uniq = [requests[positions[0]] for positions in missing.values()]
             values = expected_join_costs_batched_parallel(
-                uniq, memory, survival=self.survival_table(memory), pool=pool
+                uniq, memory, survival=self.survival_table(memory)
             )
             for (key, positions), value in zip(missing.items(), values):
                 stats.misses += 1

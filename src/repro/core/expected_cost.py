@@ -41,7 +41,6 @@ import numpy as np
 from ..plans.properties import JoinMethod
 from .distributions import DiscreteDistribution
 from .floats import MASS_EPS, negligible_mass
-from .parallel import WorkerPool, chunk_spans
 
 __all__ = [
     "expected_join_cost_naive",
@@ -51,7 +50,6 @@ __all__ = [
     "expected_grace_hash_cost",
     "expected_join_cost_fast",
     "expected_join_costs_batched",
-    "expected_join_costs_batched_parallel",
     "expected_external_sort_cost",
     "expected_external_sort_cost_model",
     "FAST_METHODS",
@@ -410,53 +408,6 @@ def expected_join_costs_batched(
         totals = kernel(lefts, rights, st)
         out[[i for i, _, _ in group]] = totals
     return out
-
-
-def _batched_chunk(
-    requests: Sequence[BatchRequest],
-    memory: DiscreteDistribution,
-    survival: Optional[_SurvivalTable],
-) -> np.ndarray:
-    """One worker's share of a parallel batch (module-level: picklable)."""
-    return expected_join_costs_batched(requests, memory, survival=survival)
-
-
-def expected_join_costs_batched_parallel(
-    requests: Sequence[BatchRequest],
-    memory: DiscreteDistribution,
-    survival: Optional[_SurvivalTable] = None,
-    pool: Optional[WorkerPool] = None,
-    min_chunk: int = 8,
-) -> np.ndarray:
-    """:func:`expected_join_costs_batched` fanned out over a worker pool.
-
-    The batch is split into the deterministic contiguous chunks of
-    :func:`~repro.core.parallel.chunk_spans` (one per pool worker), each
-    chunk runs the ordinary batched kernel against the *same* shared
-    survival table, and the chunk results are concatenated in span order.
-
-    Bit-identity to the sequential call is by construction, not by luck:
-    a request's value inside the kernel depends only on its own padded
-    row, and the per-row reductions are strictly sequential
-    ``np.cumsum`` sums that exact-0.0 padding cannot perturb — so the
-    chunk width (like the batch width, see
-    ``test_batched_bitwise_equals_single``) never leaks into any result,
-    and the fixed-order merge reproduces the sequential output array bit
-    for bit regardless of worker scheduling.
-
-    Falls back to the sequential kernel when ``pool`` is ``None`` or the
-    batch is too small (< ``2 * min_chunk`` requests) for fan-out to pay.
-    """
-    n = len(requests)
-    st = survival if survival is not None else _SurvivalTable(memory)
-    if pool is None or pool.closed or n < max(2, 2 * min_chunk):
-        return expected_join_costs_batched(requests, memory, survival=st)
-    spans = chunk_spans(n, pool.size)
-    if len(spans) <= 1:
-        return expected_join_costs_batched(requests, memory, survival=st)
-    tasks = [(list(requests[a:b]), memory, st) for a, b in spans]
-    parts = pool.map_ordered(_batched_chunk, tasks)
-    return np.concatenate(parts)
 
 
 def expected_sort_merge_cost(

@@ -30,16 +30,12 @@ def optimize_lsc(
     allow_cross_products: bool = False,
     top_k: int = 1,
     context: Optional[OptimizationContext] = None,
-    level_batching: Optional[bool] = None,
-    parallelism=None,
 ) -> OptimizationResult:
     """Find the least-specific-cost plan at the given memory value.
 
     This is one invocation of the standard optimizer; Algorithms A and B
     call it once per bucket.  Passing a shared ``context`` lets repeated
     invocations over the same query reuse memoized sizes and step costs.
-    ``level_batching``/``parallelism`` forward to the engine and are
-    bit-invisible in the result.
     """
     coster = PointCoster(memory, cost_model=cost_model)
     engine = SystemRDP(
@@ -48,8 +44,6 @@ def optimize_lsc(
         allow_cross_products=allow_cross_products,
         top_k=top_k,
         context=context,
-        level_batching=level_batching,
-        parallelism=parallelism,
     )
     return engine.optimize(query)
 

@@ -83,19 +83,6 @@ class CostModel:
         """Zero the formula-evaluation counter."""
         self.eval_count = 0
 
-    def note_evaluations(self, n: int) -> None:
-        """Advance :attr:`eval_count` by ``n`` externally computed formulas.
-
-        The parallel per-level evaluator runs the *pure* ``formulas``
-        kernels in worker threads/processes (a shared ``+=`` from workers
-        would race, and process-side increments would be lost) and
-        charges the count here from the coordinating thread — totals
-        remain exactly what the sequential ``*_many`` calls would have
-        produced.
-        """
-        if self._count:
-            self.eval_count += int(n)
-
     # ------------------------------------------------------------------
     # Primitive costs
     # ------------------------------------------------------------------

@@ -50,10 +50,8 @@ from ..core.expected_cost import (
     expected_join_cost_naive_model,
 )
 from ..core.markov import MarkovParameter
-from ..core.parallel import WorkerPool, chunk_spans
 from ..costmodel.estimates import project_pages
 from ..costmodel.model import CostModel
-from ..costmodel import formulas
 from ..plans.nodes import Scan
 from ..plans.properties import JoinMethod
 from ..plans.query import JoinQuery
@@ -163,7 +161,7 @@ class Coster(abc.ABC):
     def prefetch_join_steps(
         self,
         requests: Sequence[StepRequest],
-        pool: Optional[WorkerPool] = None,
+        pool=None,
     ) -> None:
         """Batch-evaluate a DP level's join steps into the context memo.
 
@@ -176,16 +174,9 @@ class Coster(abc.ABC):
         must match one scalar evaluation per grid point.  The base
         implementation is a no-op (everything computes on demand).
 
-        ``pool`` opts the level batch into parallel evaluation: the
-        pending steps are chunked deterministically
-        (:func:`~repro.core.parallel.chunk_spans`), each chunk runs the
-        *pure* formula kernels in a worker, and the chunk results are
-        merged in span order — so values, memo contents and
-        ``eval_count`` (charged by the coordinating thread via
-        :meth:`CostModel.note_evaluations`) all stay bit-identical to
-        the sequential prefetch.  Implementations free to ignore it
-        (e.g. :class:`PointCoster`, whose steps are one grid point each)
-        must still accept the argument.
+        ``pool`` is ignored.  It stays in the signature because the
+        benchmark's traced mode (``perfbench/spans.py``) calls every
+        override as ``prefetch_join_steps(self, requests, pool)``.
         """
 
     def _join_step_key(
@@ -312,41 +303,6 @@ def _store_steps(context, keys, costs) -> None:
         context.step_cost(key, lambda _c=cost: float(_c))
 
 
-#: below this many pending pairs a level batch stays sequential — the
-#: pool submit/gather overhead would dominate the kernel time.
-_MIN_PARALLEL_STEPS = 16
-
-
-def _expected_join_rows_pure(
-    method: JoinMethod,
-    left_pages: np.ndarray,
-    right_pages: np.ndarray,
-    memory_values: np.ndarray,
-    memory_probs: np.ndarray,
-    left_presorted: bool,
-    right_presorted: bool,
-):
-    """Counting-free grid half of :func:`_expected_join_rows`.
-
-    Module-level and built on the pure ``formulas`` kernels (no
-    ``eval_count`` side effects) so worker pools can run it from threads
-    without racing the shared counter — and from processes, where an
-    in-worker increment would simply be lost.  The coordinator charges
-    the count afterwards via :meth:`CostModel.note_evaluations`.
-    """
-    shape = (left_pages.size, memory_values.size)
-    grid_l = np.broadcast_to(left_pages[:, None], shape).ravel()
-    grid_r = np.broadcast_to(right_pages[:, None], shape).ravel()
-    grid_m = np.broadcast_to(memory_values[None, :], shape).ravel()
-    if method is JoinMethod.SORT_MERGE and (left_presorted or right_presorted):
-        rows = formulas.sort_merge_cost_with_orders_vec(
-            grid_l, grid_r, grid_m, left_presorted, right_presorted
-        )
-    else:
-        rows = formulas.join_cost_vec(method, grid_l, grid_r, grid_m)
-    return [float(np.dot(row, memory_probs)) for row in rows.reshape(shape)]
-
-
 def _expected_join_rows(
     cost_model: CostModel,
     method: JoinMethod,
@@ -355,40 +311,27 @@ def _expected_join_rows(
     memory: DiscreteDistribution,
     left_presorted: bool,
     right_presorted: bool,
-    pool: Optional[WorkerPool] = None,
 ):
     """``E_M[Φ]`` per (left, right) pair, one formula grid for all pairs.
 
     Each pair's expectation is finished with the same ``np.dot`` against
     the memory pmf that :meth:`DiscreteDistribution.expectation` uses, so
     the results are bit-identical to the scalar
-    ``memory.expectation(lambda m: formula(...))`` path.
-
-    With a ``pool``, the pairs are split into deterministic contiguous
-    chunks and each chunk's grid is evaluated by a worker; every pair's
-    result depends only on its own grid row, so the chunked values — and
-    the span-ordered merge — are bit-identical to the one-grid call.
-    ``eval_count`` advances by the full grid size either way.
+    ``memory.expectation(lambda m: formula(...))`` path.  ``eval_count``
+    advances by the full grid size, as for the scalar path.
     """
     mv = memory.values
-    mp = memory.probs
-    n = left_pages.size
-    if pool is not None and not pool.closed and n >= _MIN_PARALLEL_STEPS:
-        spans = chunk_spans(n, pool.size)
-        if len(spans) > 1:
-            tasks = [
-                (method, left_pages[a:b], right_pages[a:b], mv, mp,
-                 left_presorted, right_presorted)
-                for a, b in spans
-            ]
-            parts = pool.map_ordered(_expected_join_rows_pure, tasks)
-            cost_model.note_evaluations(n * mv.size)
-            return [cost for part in parts for cost in part]
-    costs = _expected_join_rows_pure(
-        method, left_pages, right_pages, mv, mp, left_presorted, right_presorted
-    )
-    cost_model.note_evaluations(n * mv.size)
-    return costs
+    shape = (left_pages.size, mv.size)
+    grid_l = np.broadcast_to(left_pages[:, None], shape).ravel()
+    grid_r = np.broadcast_to(right_pages[:, None], shape).ravel()
+    grid_m = np.broadcast_to(mv[None, :], shape).ravel()
+    if method is JoinMethod.SORT_MERGE and (left_presorted or right_presorted):
+        rows = cost_model.sort_merge_cost_ordered_many(
+            grid_l, grid_r, grid_m, left_presorted, right_presorted
+        )
+    else:
+        rows = cost_model.join_cost_many(method, grid_l, grid_r, grid_m)
+    return [float(np.dot(row, memory.probs)) for row in rows.reshape(shape)]
 
 
 class PointCoster(Coster):
@@ -432,8 +375,6 @@ class PointCoster(Coster):
         The vectorized formulas are bit-identical to the scalar ones per
         element, so the memoized values match what on-demand evaluation
         would store; ``eval_count`` advances by one per step either way.
-        ``pool`` is accepted but unused: a point step is one grid point,
-        so the whole level is a single cheap array op already.
         """
         assert self.context is not None, "coster used before bind()"
         for (method, lps, rps), group in _pending_by_formula(
@@ -507,8 +448,7 @@ class ExpectedCoster(Coster):
             lp = np.array([self._pages(req[1]) for _, req in group])
             rp = np.array([self._pages(req[2]) for _, req in group])
             costs = _expected_join_rows(
-                self.cost_model, method, lp, rp, self.memory, lps, rps,
-                pool=pool,
+                self.cost_model, method, lp, rp, self.memory, lps, rps
             )
             _store_steps(self.context, keys, costs)
 
@@ -605,7 +545,7 @@ class MarkovCoster(Coster):
             rp = np.array([self._pages(req[2]) for _, req in group])
             costs = _expected_join_rows(
                 self.cost_model, method, lp, rp, self.chain.marginal(phase),
-                lps, rps, pool=pool,
+                lps, rps,
             )
             _store_steps(self.context, keys, costs)
 
@@ -722,9 +662,7 @@ class MultiParamCoster(Coster):
         already one array op per step); presorted sort-merge steps keep
         their order-aware scalar route.  Values land in the context's
         ``fastjoin`` memo, so the per-step ``join_step_cost`` calls that
-        follow find them without touching the kernel again.  A worker
-        pool fans the kernel misses out chunk-wise (see
-        :func:`repro.core.expected_cost.expected_join_costs_batched_parallel`).
+        follow find them without touching the kernel again.
         """
         if not self.fast:
             return
@@ -742,7 +680,7 @@ class MultiParamCoster(Coster):
                 )
             )
         if batch:
-            self.context.batched_join_costs(batch, self.memory, pool=pool)
+            self.context.batched_join_costs(batch, self.memory)
 
     def write_cost(self, rels):
         key = (*self._memo_key(), "write", frozenset(rels))

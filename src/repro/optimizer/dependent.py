@@ -18,9 +18,8 @@ per-assignment arithmetic), the cost formulas run through the vectorized
 same left-to-right cumulative sum the scalar ``net.expectation`` loop
 performed.  Step costs are memoized in the bound
 :class:`~repro.core.context.OptimizationContext` and a whole DP level
-can be prefetched (``prefetch_join_steps``) — optionally fanned out over
-a :class:`~repro.core.parallel.WorkerPool` with deterministic chunking,
-exactly like the independent costers.
+can be prefetched (``prefetch_join_steps``), exactly like the
+independent costers.
 
 Network conventions: the memory variable is named by ``memory_var``
 (default ``"M"``); each uncertain predicate selectivity is a variable
@@ -37,48 +36,15 @@ import numpy as np
 
 from ..core.bayesnet import Assignment, BayesNetError, DiscreteBayesNet
 from ..core.context import OptimizationContext
-from ..core.parallel import chunk_spans
-from ..costmodel import formulas
 from ..costmodel.model import CostModel
 from ..plans.nodes import Join, Plan, Scan, Sort
 from ..plans.properties import JoinMethod
 from ..plans.query import JoinQuery
-from .costers import _MIN_PARALLEL_STEPS, Coster, _pending_by_formula, _store_steps
+from .costers import Coster, _pending_by_formula, _store_steps
 from .result import OptimizationResult
 from .systemr import SystemRDP
 
 __all__ = ["BayesNetCoster", "optimize_dependent", "plan_expected_cost_dependent"]
-
-
-def _bayes_step_rows_pure(
-    method: JoinMethod,
-    left_pages: np.ndarray,
-    right_pages: np.ndarray,
-    memory_col: np.ndarray,
-    probs: np.ndarray,
-    left_presorted: bool,
-    right_presorted: bool,
-) -> np.ndarray:
-    """Counting-free expected step costs for a block of Bayes-net steps.
-
-    ``left_pages``/``right_pages`` have one row per step and one column
-    per joint assignment; ``memory_col``/``probs`` are the assignment
-    columns.  Runs the *pure* formula kernels (module-level and free of
-    :class:`CostModel` state, so it is safe in worker threads and
-    picklable for process pools); the caller charges ``eval_count`` via
-    :meth:`CostModel.note_evaluations`.  Each grid element depends only
-    on its own ``(pages, pages, memory)`` triple and the per-row
-    reduction is a cumulative sum, so any row block of the result is
-    bit-identical to evaluating those steps alone.
-    """
-    memory = np.broadcast_to(memory_col, left_pages.shape)
-    if method is JoinMethod.SORT_MERGE and (left_presorted or right_presorted):
-        grid = formulas.sort_merge_cost_with_orders_vec(
-            left_pages, right_pages, memory, left_presorted, right_presorted
-        )
-    else:
-        grid = formulas.join_cost_vec(method, left_pages, right_pages, memory)
-    return np.cumsum(grid * probs[None, :], axis=1)[:, -1]
 
 
 class BayesNetCoster(Coster):
@@ -225,14 +191,14 @@ class BayesNetCoster(Coster):
         return self._step(key, compute)
 
     def prefetch_join_steps(self, requests, pool=None):
-        """One vectorized grid per formula group, optionally fanned out.
+        """One vectorized grid per formula group.
 
         Pending steps sharing ``(method, presorted-flags)`` evaluate as
-        one ``(steps × assignments)`` grid through the pure kernels; a
-        worker pool splits the step rows with deterministic
-        :func:`~repro.core.parallel.chunk_spans` and the chunks merge in
-        span order, so memo contents and ``eval_count`` match the
-        sequential prefetch (and the on-demand path) exactly.
+        one ``(steps × assignments)`` grid.  Each grid element depends
+        only on its own ``(pages, pages, memory)`` triple and each row is
+        reduced by the same left-to-right cumulative sum as
+        ``net.expectation_many``, so memo contents and ``eval_count``
+        match the on-demand path exactly.
         """
         assert self.context is not None, "coster used before bind()"
         _, probs = self.net.joint_arrays()
@@ -241,26 +207,9 @@ class BayesNetCoster(Coster):
             keys = [key for key, _ in group]
             lp = np.vstack([self._pages_given_many(req[1]) for _, req in group])
             rp = np.vstack([self._pages_given_many(req[2]) for _, req in group])
-            n = len(keys)
-            spans = (
-                chunk_spans(n, pool.size)
-                if pool is not None
-                and not pool.closed
-                and n >= _MIN_PARALLEL_STEPS
-                else []
-            )
-            if len(spans) > 1:
-                tasks = [
-                    (method, lp[a:b], rp[a:b], self._memory_col, probs, lps, rps)
-                    for a, b in spans
-                ]
-                parts = pool.map_ordered(_bayes_step_rows_pure, tasks)
-                costs = np.concatenate(parts)
-            else:
-                costs = _bayes_step_rows_pure(
-                    method, lp, rp, self._memory_col, probs, lps, rps
-                )
-            self.cost_model.note_evaluations(n * self._memory_col.size)
+            memory = np.broadcast_to(self._memory_col, lp.shape)
+            grid = self._join_cost_columns(method, lp, rp, memory, lps, rps)
+            costs = np.cumsum(grid * probs[None, :], axis=1)[:, -1]
             _store_steps(self.context, keys, costs)
 
     def write_cost(self, rels):
@@ -292,14 +241,12 @@ def optimize_dependent(
     plan_space: str = "left-deep",
     allow_cross_products: bool = False,
     context: Optional[OptimizationContext] = None,
-    level_batching: Optional[bool] = None,
-    parallelism=None,
 ) -> OptimizationResult:
     """LEC optimization under a dependent parameter joint.
 
-    ``context``, ``level_batching`` and ``parallelism`` thread straight
-    through to :class:`~repro.optimizer.systemr.SystemRDP`; all three are
-    bit-invisible in the chosen plan and objective.
+    ``context`` threads straight through to
+    :class:`~repro.optimizer.systemr.SystemRDP`; it is bit-invisible in
+    the chosen plan and objective.
     """
     coster = BayesNetCoster(net, memory_var=memory_var, cost_model=cost_model)
     engine = SystemRDP(
@@ -307,8 +254,6 @@ def optimize_dependent(
         plan_space=plan_space,
         allow_cross_products=allow_cross_products,
         context=context,
-        level_batching=level_batching,
-        parallelism=parallelism,
     )
     return engine.optimize(query)
 

@@ -148,8 +148,6 @@ def optimize(
     fast: bool = False,
     include_mean: bool = True,
     context: Optional[OptimizationContext] = None,
-    level_batching: Optional[bool] = None,
-    parallelism=None,
 ) -> OptimizationResult:
     """Optimize ``query`` under the chosen costing objective.
 
@@ -184,16 +182,6 @@ def optimize(
         Explicit :class:`~repro.core.context.OptimizationContext` to use
         instead of the facade's cached one.  Must match the query's
         statistics or it is (safely) ignored downstream.
-    level_batching:
-        Batch each DP level's join steps through the vectorized kernel
-        (``None`` lets the engine decide).  Bit-invisible in the result.
-    parallelism:
-        Fan level batches out across a worker pool — ``None``/``"off"``,
-        an int worker count, ``"auto"``, ``"threads:4"``,
-        ``"processes:2"``, or a :class:`~repro.core.parallel.WorkerPool`
-        (see :func:`repro.core.parallel.parse_parallelism`).  Plans,
-        objectives and stats stay bit-identical to sequential
-        evaluation; only wall-clock changes.
 
     Returns
     -------
@@ -247,8 +235,6 @@ def optimize(
         plan_space=space,
         allow_cross_products=allow_cross_products,
         context=ctx,
-        level_batching=level_batching,
-        parallelism=parallelism,
     )
 
     if kind == "point":

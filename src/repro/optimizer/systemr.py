@@ -39,10 +39,9 @@ Bookkeeping details that matter for fidelity:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.context import OptimizationContext
-from ..core.parallel import get_pool
 from ..plans.nodes import Join, Plan, PlanNode, Project, Scan, Sort
 from ..plans.nodes import Union as UnionNode
 from ..plans.properties import AccessPath, order_from_join
@@ -96,26 +95,14 @@ class SystemRDP:
         coster draws memoized sizes, distributions and step costs from
         it; otherwise a fresh context is created per :meth:`optimize`
         call.
-    level_batching:
-        Batch-evaluate each DP level's join steps through the coster's
-        vectorized :meth:`~repro.optimizer.costers.Coster.
-        prefetch_join_steps` before the per-subset scan.  Values are
-        bit-identical to on-demand evaluation, so the chosen plans and
-        costs never change.  ``None`` (default) enables batching exactly
-        when the Chen & Schneider partition prune is off (left-deep
-        spaces): under pruning, prefetching would evaluate steps the
-        prune skips, inflating the ``formula_evaluations`` accounting
-        the experiments rely on.  Pass ``True``/``False`` to force.
-    parallelism:
-        Fan each prefetched level batch out across a worker pool (see
-        :func:`repro.core.parallel.parse_parallelism` for the accepted
-        spellings: ``None``/``"off"``, an int worker count, ``"auto"``,
-        ``"threads:4"``, ``"processes:2"``, or a live
-        :class:`~repro.core.parallel.WorkerPool`).  Chunking is
-        deterministic and results merge in fixed chunk order, so plans,
-        objectives and ``formula_evaluations`` stay bit-identical to
-        sequential evaluation.  Only effective together with level
-        batching — sequential on-demand costing ignores it.
+
+    A level's join steps are prefetched in one batch through the coster's
+    vectorized :meth:`~repro.optimizer.costers.Coster.prefetch_join_steps`
+    exactly when the plan space is unpruned (left-deep).  Prefetched
+    values are bit-identical to on-demand evaluation; under the Chen &
+    Schneider prune, prefetching would evaluate steps the prune skips,
+    inflating the ``formula_evaluations`` accounting the experiments rely
+    on, so the enlarged spaces cost on demand.
     """
 
     def __init__(
@@ -125,8 +112,6 @@ class SystemRDP:
         allow_cross_products: bool = False,
         top_k: int = 1,
         context: Optional[OptimizationContext] = None,
-        level_batching: Optional[bool] = None,
-        parallelism=None,
     ):
         try:
             space = PlanSpace.parse(plan_space)
@@ -147,17 +132,9 @@ class SystemRDP:
         self.top_k = top_k
         self.context = context
         # Chen & Schneider lower-bound pruning pays off (and keeps legacy
-        # instrumentation exact) only on the enlarged spaces.
+        # instrumentation exact) only on the enlarged spaces; level
+        # prefetch runs exactly where it is off.
         self._prune = space.shape != "left-deep"
-        # Level batching mirrors on-demand evaluation bit-for-bit, but
-        # under pruning it would evaluate steps the prune skips — so the
-        # default ties it to the prune being off.
-        self._batch_steps = (
-            (not self._prune) if level_batching is None else bool(level_batching)
-        )
-        # Resolved once: repeated optimize() calls reuse the same warm
-        # registry pool (or the caller's own WorkerPool instance).
-        self._pool = get_pool(parallelism)
 
     # ------------------------------------------------------------------
 
@@ -234,11 +211,34 @@ class SystemRDP:
                 allow_cross_products=self.allow_cross_products,
                 names=names,
             )
-            if self._batch_steps:
+            if not self._prune:
                 self._prefetch_level(level, query, table)
             for subset in level:
                 self._build_subset(subset, query, table, stats)
         return table
+
+    def _joinable_partitions(
+        self,
+        subset: FrozenSet[str],
+        query: JoinQuery,
+        table: _Table,
+    ) -> Iterator[Tuple[FrozenSet[str], FrozenSet[str], str, Optional[str]]]:
+        """``(left, right, label, order_target)`` per partition the DP joins.
+
+        Skips partitions with a side absent from the table and, without
+        ``allow_cross_products``, partitions no predicate crosses.  Both
+        :meth:`_prefetch_level` and :meth:`_build_subset` iterate this,
+        so the prefetch requests exactly the steps the scan will cost.
+        """
+        within = query.predicates_within(subset)
+        for left_rels, right_rels in self.space.partitions(subset):
+            if left_rels not in table or right_rels not in table:
+                continue
+            preds = [p for p in within if (p.left in left_rels) != (p.right in left_rels)]
+            if preds:
+                yield left_rels, right_rels, preds[0].label, preds[0].order_label
+            elif self.allow_cross_products:
+                yield left_rels, right_rels, f"cross[{min(right_rels)}]", None
 
     def _prefetch_level(
         self,
@@ -248,48 +248,35 @@ class SystemRDP:
     ) -> None:
         """Hand one DP level's join steps to the coster in a single batch.
 
-        The request list replays :meth:`_build_subset`'s filtering exactly
-        — partitions absent from the table, cross products without
-        ``allow_cross_products`` and empty order buckets are skipped — so
-        a coster's batched path evaluates precisely the steps the
-        per-subset scan would request on demand.  Level ``k`` partitions
-        only read levels ``< k``, all already in ``table``, so batching
-        ahead of the subset loop sees the same state.
+        Requests one step per method for every (left-sorted,
+        right-sorted) combination of non-empty order buckets that
+        :meth:`_build_subset` will combine.  Level ``k`` partitions only
+        read levels ``< k``, all already in ``table``, so batching ahead
+        of the subset loop sees the same state.
         """
         requests = []
         for subset in level:
             phase = len(subset) - 2
-            for left_rels, right_rels in self.space.partitions(subset):
-                if left_rels not in table or right_rels not in table:
-                    continue
-                preds = [
-                    p
-                    for p in query.predicates_within(subset)
-                    if (p.left in left_rels) != (p.right in left_rels)
-                ]
-                if not preds and not self.allow_cross_products:
-                    continue
-                order_target = preds[0].order_label if preds else None
-                combos = set()
-                for lorder, lbucket in table[left_rels].items():
-                    if not any(True for _ in lbucket.items()):
-                        continue
-                    for rorder, rbucket in table[right_rels].items():
-                        if not any(True for _ in rbucket.items()):
-                            continue
-                        combos.add(
-                            (
-                                order_target is not None and lorder == order_target,
-                                order_target is not None and rorder == order_target,
-                            )
-                        )
+            for left_rels, right_rels, _, order_target in self._joinable_partitions(
+                subset, query, table
+            ):
+                combos = {
+                    (
+                        order_target is not None and lorder == order_target,
+                        order_target is not None and rorder == order_target,
+                    )
+                    for lorder, lbucket in table[left_rels].items()
+                    if lbucket.items()
+                    for rorder, rbucket in table[right_rels].items()
+                    if rbucket.items()
+                }
                 for lsorted, rsorted in sorted(combos):
                     for method in self.coster.methods:
                         requests.append(
                             (method, left_rels, right_rels, phase, lsorted, rsorted)
                         )
         if requests:
-            self.coster.prefetch_join_steps(requests, pool=self._pool)
+            self.coster.prefetch_join_steps(requests)
 
     def _build_subset(
         self,
@@ -300,22 +287,9 @@ class SystemRDP:
     ) -> None:
         buckets: Dict[Optional[str], TopKList[DPEntry]] = {}
         phase = len(subset) - 2
-        for left_rels, right_rels in self.space.partitions(subset):
-            if left_rels not in table or right_rels not in table:
-                continue
-            preds = [
-                p
-                for p in query.predicates_within(subset)
-                if (p.left in left_rels) != (p.right in left_rels)
-            ]
-            if not preds and not self.allow_cross_products:
-                continue
-            if preds:
-                label = preds[0].label
-                order_target: Optional[str] = preds[0].order_label
-            else:
-                label = f"cross[{min(right_rels)}]"
-                order_target = None
+        for left_rels, right_rels, label, order_target in self._joinable_partitions(
+            subset, query, table
+        ):
             if self._prune and self._dominated(
                 left_rels, right_rels, order_target or label, buckets, table
             ):
