@@ -12,9 +12,8 @@ missing global view:
   in ``gateway.py`` resolves to ``repro.cluster.protocol.read_frame``).
 * :class:`ClassInfo` carries **candidate attribute types** gathered
   from annotations, direct construction and constructor-argument flow
-  (``OptimizerService(cache=TieredPlanCache(...))`` in the worker seeds
-  ``self.cache`` with ``TieredPlanCache`` even though the annotation
-  says ``PlanCache``), plus which attributes are locks and which are
+  (``Service(cache=TieredCache(...))`` seeds ``self.cache`` with
+  ``TieredCache`` even though the annotation says ``PlanCache``), plus which attributes are locks and which are
   multiprocessing-Manager proxies.
 * :class:`FunctionInfo` is one function's **summary**: is it async,
   which locks it acquires (and what was held at each acquire), which

@@ -1,7 +1,7 @@
 """Cluster replay driver: ``python -m repro.cluster``.
 
 Replays a seeded Zipf workload through the sharded serving tier and
-prints throughput, latency percentiles, cache-tier hit rates and the
+prints throughput, latency percentiles, the cache hit rate and the
 degradation-rung distribution — the scaling numbers the ROADMAP's
 "millions of users" milestone asks for.
 
@@ -49,9 +49,6 @@ def main(argv=None) -> int:
                         help="admission soft queue limit per shard")
     parser.add_argument("--hard-limit", type=int, default=64,
                         help="admission hard queue limit per shard")
-    parser.add_argument("--batch-size", type=int, default=1,
-                        help="send requests in optimize_batch frames of "
-                             "this size (default 1 = legacy frames)")
     args = parser.parse_args(argv)
 
     if args.quick:
@@ -73,7 +70,6 @@ def main(argv=None) -> int:
         admission=AdmissionController(
             soft_limit=args.soft_limit, hard_limit=args.hard_limit
         ),
-        batch_size=args.batch_size,
     )
 
     cfg = report["config"]
@@ -92,10 +88,8 @@ def main(argv=None) -> int:
         print(f"latency: p50 {lat['p50'] * 1e3:.1f} ms, "
               f"p99 {lat['p99'] * 1e3:.1f} ms over {lat['count']} requests")
     tiers = report["cache_tiers"]
-    print(f"cache tiers: hot {tiers['hot_hit_rate']:.0%}, "
-          f"shared {tiers['shared_hit_rate']:.0%}, "
-          f"any {tiers['any_hit_rate']:.0%} "
-          f"({tiers['shared_entries']} shared entries)")
+    print(f"plan cache: {tiers['hot_hit_rate']:.0%} hits "
+          f"({tiers['hot_hits']} hits, {tiers['misses']} misses)")
     print(f"rungs: {report['rungs']}")
     if report["restarts"]:
         print(f"worker restarts: {report['restarts']}")

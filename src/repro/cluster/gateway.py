@@ -7,7 +7,8 @@ core.  The gateway breaks that ceiling: requests are fingerprinted,
 or shed by the :class:`~repro.cluster.admission.AdmissionController`,
 and **routed by fingerprint hash** to a fixed worker process, each an
 independent :class:`~repro.serving.service.OptimizerService` on its own
-core with a private hot cache over the cluster-shared tier.
+core with its own plan cache.  Because routing sends every repeat of a
+query to the same shard, one cache per shard is all the cluster needs.
 
 The gateway itself does no optimization and no plan decoding on the hot
 path — it shuffles frames.  That keeps a single asyncio task loop able
@@ -17,53 +18,91 @@ Reliability model
 -----------------
 * A worker that dies (crash, OOM kill, test-inflicted ``kill()``) is
   detected by EOF on its socket (and by health pings); the gateway
-  respawns it — the replacement re-warms its hot LRU from the shared
-  tier — and **replays** every request that was in flight on the dead
-  worker.  Accepted requests are therefore answered (possibly degraded,
-  possibly after a retry) or failed explicitly after ``max_retries``
-  replays; they are never silently dropped.
+  respawns it, re-warms the replacement's cache with one ``warm`` frame
+  holding the shard's :data:`WARM_ENTRIES` most recent full-quality
+  answers (the gateway saw every one of them go by), and **replays**
+  every request that was in flight on the dead worker.  Accepted
+  requests are therefore answered (possibly degraded, possibly after a
+  retry) or failed explicitly after ``max_retries`` replays; they are
+  never silently dropped.
 * Catalog/feedback mutations on the gateway side move the version
-  fence: the shared tier is purged and a ``version`` frame is broadcast
-  so every worker's hot LRU refuses stale plans, extending the PR 2/3
-  invalidation contract across process boundaries.
+  fence: the recent-answer records are dropped and a ``version`` frame
+  is broadcast so every worker's cache refuses stale plans, extending
+  the single-process invalidation contract across process boundaries.
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import itertools
 import multiprocessing
 import socket
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.context import query_fingerprint
-from ..costmodel.model import CostModel
+from ..core.distributions import DiscreteDistribution
 from ..optimizer.errors import OptimizerConfigError
-from ..optimizer.facade import _OBJECTIVES, _model_key
+from ..optimizer.facade import _OBJECTIVES
 from ..plans.nodes import Plan
-from ..serving.plan_cache import PlanCacheKey, memory_key
-from ..serving.service import OptimizeRequest
+from ..plans.query import IndexInfo
+from ..serving.plan_cache import PlanCacheKey
+from ..serving.service import OptimizeRequest, plan_cache_key
 from ..tools.serialize import plan_from_dict, query_to_dict
 from .admission import SHED, AdmissionController, AdmissionDecision
 from .metrics import ClusterMetrics
-from .protocol import (
-    FrameDecoder,
-    ProtocolError,
-    batch_message,
-    encode_frame,
-    encode_memory,
-)
-from .shared_cache import (
-    SharedPlanTier,
-    cache_key_digest,
-    fingerprint_digest,
-    make_shared_state,
-)
+from .protocol import FrameDecoder, ProtocolError, encode_frame, encode_memory
 from .worker import WorkerConfig, worker_main
 
-__all__ = ["ClusterResult", "ClusterGateway", "GatewayError"]
+__all__ = [
+    "ClusterResult",
+    "ClusterGateway",
+    "GatewayError",
+    "WARM_ENTRIES",
+    "fingerprint_digest",
+]
+
+#: Recent full-quality answers the gateway keeps per shard, and so the
+#: most entries one ``warm`` frame hands a respawned worker.
+WARM_ENTRIES = 64
+
+
+def _normalize(obj: Any) -> Any:
+    """A value-based, process-independent form of a fingerprint part.
+
+    Live objects whose identity/hash differ across processes are
+    replaced by their content; containers recurse.
+    """
+    if isinstance(obj, DiscreteDistribution):
+        return (
+            "dist",
+            tuple(float(v) for v in obj.values),
+            tuple(float(p) for p in obj.probs),
+        )
+    if isinstance(obj, IndexInfo):
+        return ("index", int(obj.height), bool(obj.clustered))
+    if isinstance(obj, (tuple, list)):
+        return tuple(_normalize(x) for x in obj)
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    return repr(obj)
+
+
+def _digest(parts: Any) -> str:
+    return hashlib.sha1(repr(_normalize(parts)).encode("utf-8")).hexdigest()
+
+
+def fingerprint_digest(fingerprint: Tuple) -> str:
+    """Stable hex digest of a query fingerprint alone.
+
+    This is the sharding key: every request for the same logical query
+    lands on the same worker regardless of objective or knobs, and on
+    the same worker in every run (``hash()`` is salted per process), so
+    a query's plans and optimizer-context locality stay on one shard.
+    """
+    return _digest(fingerprint)
 
 
 class GatewayError(RuntimeError):
@@ -116,7 +155,7 @@ class _Pending:
 
     future: "asyncio.Future[ClusterResult]"
     message: Dict[str, Any]
-    coalesce_key: str
+    coalesce_key: PlanCacheKey
     admission: AdmissionDecision
     sent_at: float
     attempts: int = 1
@@ -135,6 +174,18 @@ class _Shard:
     last_snapshot: Optional[Dict[str, Any]] = None
     last_pong: float = 0.0
     restarts: int = 0
+    # PlanCacheKey -> warm entry of a recent ok full-rung answer, oldest
+    # first; at most WARM_ENTRIES, all at the gateway's current version.
+    recent: "OrderedDict[PlanCacheKey, Dict[str, Any]]" = field(
+        default_factory=OrderedDict
+    )
+
+    def remember(self, key: PlanCacheKey, entry: Dict[str, Any]) -> None:
+        """Record one answer for re-warming, evicting the oldest."""
+        self.recent[key] = entry
+        self.recent.move_to_end(key)
+        if len(self.recent) > WARM_ENTRIES:
+            self.recent.popitem(last=False)
 
 
 def _preferred_context():
@@ -155,12 +206,11 @@ class ClusterGateway:
     catalog_sources:
         Version-carrying catalog objects (``StatisticsCatalog``,
         ``SelectivityFeedback``) — the gateway watches their versions
-        and propagates the fence to every worker and the shared tier.
+        and propagates the fence to every worker.
     admission:
         Custom :class:`AdmissionController` (defaults tuned for small
         replay workloads).
-    worker_threads / hot_entries / warm_limit / shared_max_entries /
-    coarse_buckets / default_deadline:
+    worker_threads / coarse_buckets / default_deadline:
         Forwarded into each shard's :class:`WorkerConfig`.
     health_interval:
         Seconds between background health sweeps (``None`` disables the
@@ -176,9 +226,6 @@ class ClusterGateway:
         admission: Optional[AdmissionController] = None,
         metrics: Optional[ClusterMetrics] = None,
         worker_threads: int = 1,
-        hot_entries: int = 256,
-        warm_limit: int = 64,
-        shared_max_entries: int = 4096,
         coarse_buckets: int = 3,
         default_deadline: Optional[float] = None,
         health_interval: Optional[float] = None,
@@ -193,20 +240,14 @@ class ClusterGateway:
         self.admission = admission if admission is not None else AdmissionController()
         self.metrics = metrics if metrics is not None else ClusterMetrics()
         self._worker_threads = worker_threads
-        self._hot_entries = hot_entries
-        self._warm_limit = warm_limit
-        self._shared_max_entries = shared_max_entries
         self._coarse_buckets = coarse_buckets
         self._default_deadline = default_deadline
         self.health_interval = health_interval
         self.max_retries = max_retries
 
         self._ctx = _preferred_context()
-        self._manager = None
-        self._shared_state = None
-        self.shared_tier: Optional[SharedPlanTier] = None
         self._shards: List[_Shard] = []
-        self._inflight: Dict[str, "asyncio.Future[ClusterResult]"] = {}
+        self._inflight: Dict[PlanCacheKey, "asyncio.Future[ClusterResult]"] = {}
         self._ids = itertools.count(1)
         self._ping_ids = itertools.count(1)
         self._last_version = self._current_version()
@@ -218,32 +259,10 @@ class ClusterGateway:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    async def _offload(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Run one blocking Manager round trip off the event loop.
-
-        Every touch of the Manager process (allocation, shutdown, shared
-        dict access) is a synchronous cross-process RPC; on the loop it
-        would stall every in-flight request, so it goes to the default
-        executor instead (ASYNC001 enforces this).
-        """
-        loop = asyncio.get_event_loop()
-        return await loop.run_in_executor(None, fn, *args)
-
-    def _allocate_shared(self):
-        """Blocking: spawn the Manager process and its shared structures."""
-        manager = self._ctx.Manager()
-        return manager, make_shared_state(manager)
-
     async def start(self) -> "ClusterGateway":
-        """Allocate the shared tier and spawn every worker."""
+        """Spawn every worker."""
         if self._started:
             raise GatewayError("gateway already started")
-        self._manager, self._shared_state = await self._offload(
-            self._allocate_shared
-        )
-        self.shared_tier = SharedPlanTier(
-            self._shared_state, max_entries=self._shared_max_entries
-        )
         self._shards = [_Shard(index=i) for i in range(self.n_shards)]
         for shard in self._shards:
             await self._spawn(shard)
@@ -261,7 +280,7 @@ class ClusterGateway:
         await self.close()
 
     async def close(self) -> None:
-        """Shut every worker down and release the shared tier."""
+        """Shut every worker down."""
         if not self._started or self._closing:
             return
         self._closing = True
@@ -281,6 +300,8 @@ class ClusterGateway:
                 except (asyncio.TimeoutError, asyncio.CancelledError):
                     shard.reader_task.cancel()
             await self._join_proc(shard)
+            if shard.writer is not None:
+                shard.writer.close()
             for pending in shard.pending.values():
                 if not pending.future.done():
                     pending.future.set_result(ClusterResult(
@@ -288,9 +309,6 @@ class ClusterGateway:
                         error="gateway closed with request in flight",
                     ))
             shard.pending.clear()
-        if self._manager is not None:
-            manager, self._manager = self._manager, None
-            await self._offload(manager.shutdown)
 
     async def _join_proc(self, shard: _Shard, timeout: float = 5.0) -> None:
         proc = shard.proc
@@ -309,11 +327,10 @@ class ClusterGateway:
     def _worker_config(self, shard_index: int) -> WorkerConfig:
         return WorkerConfig(
             shard_id=shard_index,
-            initial_version=self._current_version(),
+            # The fence the gateway last broadcast, which is also the
+            # version of every entry a warm frame carries.
+            initial_version=self._last_version,
             threads=self._worker_threads,
-            hot_entries=self._hot_entries,
-            warm_limit=self._warm_limit,
-            shared_max_entries=self._shared_max_entries,
             coarse_buckets=self._coarse_buckets,
             default_deadline=self._default_deadline,
         )
@@ -322,7 +339,7 @@ class ClusterGateway:
         parent_sock, child_sock = socket.socketpair()
         proc = self._ctx.Process(
             target=worker_main,
-            args=(child_sock, self._shared_state, self._worker_config(shard.index)),
+            args=(child_sock, self._worker_config(shard.index)),
             daemon=True,
             name=f"repro-cluster-worker-{shard.index}",
         )
@@ -359,6 +376,19 @@ class ClusterGateway:
             if pending is None:
                 return  # replayed request answered twice; first wins
             self._inflight.pop(pending.coalesce_key, None)
+            if (
+                mtype == "result"
+                and message.get("rung") == "full"
+                # An answer computed before a fence move must not warm
+                # a worker that starts at the new version.
+                and pending.coalesce_key.catalog_version == self._last_version
+            ):
+                shard.remember(pending.coalesce_key, {
+                    "request": pending.message,
+                    "plan": message.get("plan"),
+                    "objective_value": message.get("objective_value"),
+                    "rung": "full",
+                })
             if not pending.future.done():
                 pending.future.set_result(
                     self._to_result(shard, pending, message)
@@ -388,7 +418,6 @@ class ClusterGateway:
         self.metrics.observe_request(
             latency=latency,
             rung=message.get("rung"),
-            cache_tier=message.get("cache_tier"),
             cache_hit=bool(message.get("cache_hit")),
             retried=retries > 0,
         )
@@ -409,7 +438,7 @@ class ClusterGateway:
         )
 
     async def _restart(self, shard: _Shard) -> None:
-        """Respawn a dead worker and replay its in-flight requests."""
+        """Respawn a dead worker, re-warm it, replay its in-flight requests."""
         shard.restarts += 1
         self.metrics.registry.counter("cluster.worker_restarts").increment()
         for waiter in shard.ping_waiters.values():
@@ -417,7 +446,17 @@ class ClusterGateway:
                 waiter.cancel()
         shard.ping_waiters.clear()
         await self._join_proc(shard, timeout=2.0)
+        shard.writer.close()  # the dead worker's socket
+        # A fence move no request has observed yet must still drop the
+        # now-stale answers before they warm the new worker.
+        await self._refresh_version()
         await self._spawn(shard)
+        if shard.recent:
+            # No await since _spawn set the writer, so the warm frame is
+            # the first frame on the new socket, ahead of any request.
+            shard.writer.write(encode_frame({
+                "type": "warm", "entries": list(shard.recent.values()),
+            }))
         replays = list(shard.pending.items())
         shard.pending.clear()
         for request_id, pending in replays:
@@ -454,7 +493,10 @@ class ClusterGateway:
             except asyncio.CancelledError:  # pragma: no cover
                 raise
             except Exception:
-                continue  # a sick shard must not kill the sweeper
+                # A sick shard must not kill the sweeper, but the fault
+                # is counted rather than swallowed.
+                self.metrics.registry.counter("cluster.health_errors").increment()
+                continue
 
     async def check_health(self, timeout: float = 5.0) -> List[Optional[Dict]]:
         """Ping every worker; restart any that died; return pong snapshots."""
@@ -501,8 +543,8 @@ class ClusterGateway:
             self.metrics.registry.counter(
                 "cluster.catalog_invalidations"
             ).increment()
-            if self.shared_tier is not None:
-                await self._offload(self.shared_tier.invalidate_stale, current)
+            for shard in self._shards:
+                shard.recent.clear()
             frame = encode_frame(
                 {"type": "version", "version": list(current)}
             )
@@ -527,22 +569,22 @@ class ClusterGateway:
         """Fingerprint-hash routing: the shard owning this query."""
         return int(fingerprint_digest(fingerprint)[:8], 16) % self.n_shards
 
-    async def _prepare(self, request: OptimizeRequest):
-        """Validate, admit and register one request without sending it.
+    async def optimize(self, request: Optional[OptimizeRequest] = None,
+                       **kwargs) -> ClusterResult:
+        """Serve one request through the cluster.
 
-        Returns ``(tag, obj, shard, message)``:
-
-        ``("shed", ClusterResult, None, None)``
-            refused at admission — already final.
-        ``("coalesced", future, None, None)``
-            rides an identical in-flight request's future.
-        ``("send", future, shard, message)``
-            registered in ``shard.pending``/``_inflight``; the caller
-            owns the actual frame write (so many same-shard requests
-            can be flushed in one ``optimize_batch`` frame).
+        Accepts a prepared :class:`OptimizeRequest` or its keyword
+        arguments, exactly like ``OptimizerService.submit``.  The
+        request is validated, coalesced onto an identical in-flight
+        request if there is one, admitted or shed, and otherwise sent
+        to the shard that owns its fingerprint.
         """
-        kind = _OBJECTIVES.get(str(request.objective).lower())
-        if kind is None:
+        self._require_started()
+        if request is None:
+            request = OptimizeRequest(**kwargs)
+        elif kwargs:
+            request = replace(request, **kwargs)
+        if str(request.objective).lower() not in _OBJECTIVES:
             raise OptimizerConfigError(
                 f"unknown objective {request.objective!r}"
             )
@@ -558,36 +600,26 @@ class ClusterGateway:
 
         self.metrics.registry.counter("cluster.requests").increment()
         version = await self._refresh_version()
-        fingerprint = query_fingerprint(request.query)
-        shard = self._shards[self.shard_for(fingerprint)]
-        key = cache_key_digest(PlanCacheKey(
-            fingerprint=fingerprint,
-            objective=kind,
-            model_key=_model_key(CostModel()),
-            memory=memory_key(request.memory),
-            knobs=request.knobs(),
-            catalog_version=version,
-        ))
+        key = plan_cache_key(request, version)
+        shard = self._shards[self.shard_for(key.fingerprint)]
 
         leader = self._inflight.get(key)
         if leader is not None:
             # Coalesce: ride the identical in-flight request.
             self.metrics.registry.counter("cluster.coalesced").increment()
-            return ("coalesced", leader, None, None)
+            return replace(await asyncio.shield(leader), coalesced=True)
 
         decision = self.admission.decide(len(shard.pending), request.deadline)
         if decision.action == SHED:
             self.metrics.registry.counter("cluster.shed").increment()
-            return ("shed", ClusterResult(
+            return ClusterResult(
                 status="shed", shard=shard.index, admission=decision,
                 error=decision.reason,
-            ), None, None)
+            )
         if decision.action != "admit":
             self.metrics.registry.counter("cluster.admission_degraded").increment()
 
         request_id = next(self._ids)
-        # The replayed-on-restart copy keeps its own "optimize" type;
-        # batching is purely a first-send transport optimisation.
         message = {
             "type": "optimize",
             "id": request_id,
@@ -605,85 +637,17 @@ class ClusterGateway:
         future: "asyncio.Future[ClusterResult]" = (
             asyncio.get_event_loop().create_future()
         )
-        pending = _Pending(
+        shard.pending[request_id] = _Pending(
             future=future, message=message, coalesce_key=key,
             admission=decision, sent_at=time.monotonic(),
         )
-        shard.pending[request_id] = pending
         self._inflight[key] = future
-        return ("send", future, shard, message)
-
-    async def _write_frames(self, shard: _Shard,
-                            messages: List[Dict[str, Any]]) -> None:
-        """Flush ``messages`` to one shard — a single write and drain.
-
-        Two or more messages travel as one ``optimize_batch`` frame; a
-        singleton keeps the legacy ``optimize`` frame so a pre-batch
-        worker still understands it.
-        """
-        frame = encode_frame(
-            messages[0] if len(messages) == 1 else batch_message(messages)
-        )
         try:
-            shard.writer.write(frame)
+            shard.writer.write(encode_frame(message))
             await shard.writer.drain()
         except (ConnectionError, OSError):
             pass  # the read loop sees the broken pipe and replays
-
-    async def optimize(self, request: Optional[OptimizeRequest] = None,
-                       **kwargs) -> ClusterResult:
-        """Serve one request through the cluster.
-
-        Accepts a prepared :class:`OptimizeRequest` or its keyword
-        arguments, exactly like ``OptimizerService.submit``.
-        """
-        self._require_started()
-        if request is None:
-            request = OptimizeRequest(**kwargs)
-        elif kwargs:
-            request = replace(request, **kwargs)
-        tag, obj, shard, message = await self._prepare(request)
-        if tag == "shed":
-            return obj
-        if tag == "coalesced":
-            result = await asyncio.shield(obj)
-            return replace(result, coalesced=True)
-        await self._write_frames(shard, [message])
-        return await asyncio.shield(obj)
-
-    async def optimize_many(
-        self, requests: Sequence[OptimizeRequest]
-    ) -> List[ClusterResult]:
-        """Serve many requests, one coalesced frame write per shard.
-
-        Every request goes through the same admission/coalescing/
-        routing as :meth:`optimize`; the difference is transport-only —
-        all admitted requests routed to the same shard leave in a
-        single ``optimize_batch`` frame (one syscall per shard instead
-        of one per request), which is where the replay driver's
-        gateway-bound workloads spend their syscall budget.  Results
-        come back in request order; duplicates inside the batch
-        coalesce onto the first occurrence.
-        """
-        self._require_started()
-        prepared = [await self._prepare(r) for r in requests]
-        flushes: Dict[int, Tuple[_Shard, List[Dict[str, Any]]]] = {}
-        for tag, _obj, shard, message in prepared:
-            if tag == "send":
-                flushes.setdefault(shard.index, (shard, []))[1].append(message)
-        for shard, messages in flushes.values():
-            await self._write_frames(shard, messages)
-        results: List[ClusterResult] = []
-        for tag, obj, _shard, _message in prepared:
-            if tag == "shed":
-                results.append(obj)
-            elif tag == "coalesced":
-                results.append(
-                    replace(await asyncio.shield(obj), coalesced=True)
-                )
-            else:
-                results.append(await asyncio.shield(obj))
-        return results
+        return await asyncio.shield(future)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -701,19 +665,13 @@ class ClusterGateway:
         if proc is not None and proc.is_alive():
             proc.kill()
 
-    def _shared_entries(self) -> int:
-        """Blocking: shared-tier entry count (one Manager round trip)."""
-        return len(self.shared_tier) if self.shared_tier is not None else 0
-
     async def snapshot(self) -> Dict[str, Any]:
         """Cluster-wide aggregated metrics (see ClusterMetrics.aggregate)."""
         self._require_started()
         pongs = await self.check_health()
-        shared_entries = await self._offload(self._shared_entries)
         return self.metrics.aggregate(
             pongs,
             shed_depths=[len(s.pending) for s in self._shards],
             restarts=[s.restarts for s in self._shards],
             admission=self.admission.stats(),
-            shared_entries=shared_entries,
         )

@@ -3,10 +3,10 @@
 The gateway observes what workers cannot (coalescing, admission
 decisions, retries, restarts, end-to-end latency including queueing and
 the wire), while each worker's pong carries its own
-:class:`~repro.serving.metrics.MetricsRegistry` snapshot and per-tier
+:class:`~repro.serving.metrics.MetricsRegistry` snapshot and its plan
 cache stats.  :meth:`ClusterMetrics.aggregate` folds both views into
 one report — the numbers the replay driver prints and the benchmark
-snapshots: throughput inputs, p50/p99, cache-tier hit rates, and the
+snapshots: throughput inputs, p50/p99, the cache hit rate, and the
 rung distribution per shard.
 """
 
@@ -33,15 +33,13 @@ class ClusterMetrics:
     # ------------------------------------------------------------------
 
     def observe_request(self, latency: float, rung: Optional[str],
-                        cache_tier: Optional[str], cache_hit: bool,
-                        retried: bool) -> None:
+                        cache_hit: bool, retried: bool) -> None:
         """Record one answered request at the gateway."""
         self.registry.histogram("cluster.latency").record(latency)
         if rung:
             self.registry.counter(f"cluster.rung.{rung}").increment()
         if cache_hit:
-            tier = cache_tier if cache_tier in ("hot", "shared") else "hot"
-            self.registry.counter(f"cluster.cache.{tier}_hits").increment()
+            self.registry.counter("cluster.cache.hot_hits").increment()
         else:
             self.registry.counter("cluster.cache.misses").increment()
         if retried:
@@ -57,7 +55,6 @@ class ClusterMetrics:
         shed_depths: Sequence[int] = (),
         restarts: Sequence[int] = (),
         admission: Optional[Dict[str, float]] = None,
-        shared_entries: int = 0,
     ) -> Dict[str, Any]:
         """One cluster-wide report from gateway state + worker pongs."""
         snap = self.registry.snapshot()
@@ -89,27 +86,25 @@ class ClusterMetrics:
                 ),
                 "restarts": restarts[i] if i < len(restarts) else 0,
                 "warmed": pong.get("warmed", 0),
+                "warm_errors": pong.get("warm_errors", 0),
                 "version": pong.get("version"),
                 "rungs": rungs,
                 "cache": cache,
             })
 
         hot = int(counters.get("cluster.cache.hot_hits", 0))
-        shared = int(counters.get("cluster.cache.shared_hits", 0))
         misses = int(counters.get("cluster.cache.misses", 0))
-        lookups = hot + shared + misses
+        lookups = hot + misses
         return {
             "gateway": counters,
             "latency": latency,
             "rungs": total_rungs,
             "cache_tiers": {
                 "hot_hits": hot,
-                "shared_hits": shared,
                 "misses": misses,
                 "hot_hit_rate": hot / lookups if lookups else 0.0,
-                "shared_hit_rate": shared / lookups if lookups else 0.0,
-                "any_hit_rate": (hot + shared) / lookups if lookups else 0.0,
-                "shared_entries": shared_entries,
+                # There is no shared tier; perfbench/run.py reads the key.
+                "shared_hit_rate": 0.0,
             },
             "admission": dict(admission or {}),
             "restarts": sum(restarts),

@@ -12,8 +12,8 @@ JSON keeps the wire format debuggable and reuses the repository's
 existing documents: requests carry :func:`repro.tools.serialize.
 query_to_dict` query documents and memory inputs (scalar / distribution
 / Markov documents); responses carry ``plan`` documents — exactly what
-the plan caches store, so a worker response can be dropped into the
-shared tier without re-encoding.
+the plan caches store, so the gateway can hand a worker's answer back
+to a respawned worker (``warm``) without re-encoding.
 
 Message types
 -------------
@@ -21,17 +21,6 @@ Message types
 ``optimize``  gateway → worker: one optimization request (``id``,
               ``query`` doc, ``objective``, ``memory`` doc, optional
               ``deadline`` and knob fields).
-``optimize_batch``
-              gateway → worker: many requests in one frame
-              (``requests``: a list of ``optimize``-shaped dicts, the
-              per-request ``type`` omitted).  Semantically identical to
-              that many ``optimize`` frames back to back — the worker
-              answers each request with its own ``result``/``error``
-              frame — but the gateway pays one ``write()`` per shard
-              instead of one per request.  :func:`iter_requests`
-              normalises both spellings, so a worker built after this
-              frame existed still accepts the legacy single-request
-              frames an older gateway sends.
 ``result``    worker → gateway: the answer (``id``, ``plan`` doc,
               ``objective_value``, ``rung``, ``cache_hit``,
               ``cache_tier``, ``latency``).
@@ -42,6 +31,10 @@ Message types
               ``version``, metric/cache snapshots.
 ``version``   gateway → worker: the catalog version fence moved
               (``version`` list); the worker must refuse older plans.
+``warm``      gateway → respawned worker: ``entries`` of recent answers
+              (``request`` = an ``optimize`` message, ``plan`` doc,
+              ``objective_value``, ``rung``) to put in its plan cache
+              before the replayed requests arrive.
 ``shutdown``  gateway → worker: drain and exit (worker answers ``bye``).
 
 Blocking helpers (:func:`read_frame` / :func:`write_frame`) serve the
@@ -75,8 +68,6 @@ __all__ = [
     "FrameDecoder",
     "encode_memory",
     "decode_memory",
-    "batch_message",
-    "iter_requests",
 ]
 
 _HEADER = struct.Struct(">I")
@@ -187,47 +178,6 @@ class FrameDecoder:
     def pending_bytes(self) -> int:
         """Bytes buffered awaiting the rest of a frame."""
         return len(self._buffer)
-
-
-# ----------------------------------------------------------------------
-# Request batching
-# ----------------------------------------------------------------------
-
-
-def batch_message(requests: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Wrap per-request dicts into one ``optimize_batch`` message.
-
-    Each entry is an ``optimize`` message body (``id``, ``query`` doc,
-    knobs, ...); any ``type`` key it carries is dropped — the batch
-    frame's own type speaks for all of them.
-    """
-    if not requests:
-        raise ProtocolError("optimize_batch needs at least one request")
-    return {
-        "type": "optimize_batch",
-        "requests": [
-            {k: v for k, v in req.items() if k != "type"} for req in requests
-        ],
-    }
-
-
-def iter_requests(message: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
-    """Yield every request body in an ``optimize``/``optimize_batch`` frame.
-
-    The worker's dispatch loop calls this for both kinds, which is what
-    keeps legacy single-request frames working: an ``optimize`` message
-    is simply a batch of one.
-    """
-    if message.get("type") == "optimize":
-        yield message
-        return
-    requests = message.get("requests")
-    if not isinstance(requests, list):
-        raise ProtocolError("optimize_batch without a request list")
-    for req in requests:
-        if not isinstance(req, dict):
-            raise ProtocolError("optimize_batch entries must be dicts")
-        yield req
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ distributional selectivities, replays a Zipf-weighted request schedule
 through a :class:`~repro.cluster.gateway.ClusterGateway` under bounded
 client concurrency, and reports the numbers that justify the tier:
 optimize throughput versus shard count, p50/p99 end-to-end latency,
-cache-tier hit rates, the rung distribution, and the loss accounting
+the cache hit rate, the rung distribution, and the loss accounting
 (accepted requests must all be answered — degraded or retried, never
 dropped — even when a worker is killed mid-replay).
 
@@ -88,20 +88,13 @@ async def replay(
     admission: Optional[AdmissionController] = None,
     kill_worker_at: Optional[int] = None,
     health_interval: Optional[float] = None,
-    batch_size: int = 1,
 ) -> Dict[str, Any]:
     """Replay ``workload`` through a fresh gateway; return the report.
 
     ``kill_worker_at`` hard-kills worker 0 after that many requests have
     been answered — the crash-resilience drill: the report's ``lost``
     must stay 0 because the gateway replays in-flight work.
-
-    ``batch_size > 1`` sends requests through
-    :meth:`ClusterGateway.optimize_many` in groups of that size, so
-    same-shard requests share one ``optimize_batch`` frame write.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     semaphore = asyncio.Semaphore(concurrency)
     answered = 0
     killed = False
@@ -114,8 +107,10 @@ async def replay(
         health_interval=health_interval,
     ) as gateway:
 
-        def _account(index: int, result: ClusterResult) -> None:
+        async def _one(index: int, request: OptimizeRequest) -> None:
             nonlocal answered, killed
+            async with semaphore:
+                result = await gateway.optimize(request)
             results[index] = result
             if result.status != "shed":
                 answered += 1
@@ -127,30 +122,8 @@ async def replay(
                 killed = True
                 gateway.kill_worker(0)
 
-        async def _one(index: int, request: OptimizeRequest) -> None:
-            async with semaphore:
-                result = await gateway.optimize(request)
-            _account(index, result)
-
-        async def _group(indices: List[int]) -> None:
-            async with semaphore:
-                group = await gateway.optimize_many(
-                    [workload[i] for i in indices]
-                )
-            for index, result in zip(indices, group):
-                _account(index, result)
-
         t0 = time.perf_counter()
-        if batch_size > 1:
-            await asyncio.gather(*(
-                _group(list(range(start, min(start + batch_size,
-                                             len(workload)))))
-                for start in range(0, len(workload), batch_size)
-            ))
-        else:
-            await asyncio.gather(
-                *(_one(i, r) for i, r in enumerate(workload))
-            )
+        await asyncio.gather(*(_one(i, r) for i, r in enumerate(workload)))
         wall = time.perf_counter() - t0
         snapshot = await gateway.snapshot()
 
@@ -171,7 +144,6 @@ async def replay(
             "concurrency": concurrency,
             "kill_worker_at": kill_worker_at,
             "cpu_count": os.cpu_count(),
-            "batch_size": batch_size,
         },
         "wall_seconds": wall,
         "throughput_qps": len(ok) / wall if wall > 0 else 0.0,
@@ -204,7 +176,6 @@ def run_replay(
     kill_worker_at: Optional[int] = None,
     admission: Optional[AdmissionController] = None,
     schedule: str = "zipf",
-    batch_size: int = 1,
 ) -> Dict[str, Any]:
     """Synchronous entry point: build the workload and replay it."""
     rng = np.random.default_rng(seed)
@@ -216,5 +187,4 @@ def run_replay(
     return asyncio.run(replay(
         workload, shards=shards, concurrency=concurrency,
         admission=admission, kill_worker_at=kill_worker_at,
-        batch_size=batch_size,
     ))

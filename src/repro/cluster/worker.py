@@ -1,11 +1,12 @@
 """One cluster shard: a process hosting an ``OptimizerService``.
 
-Each worker owns a full serving stack — the PR 2
+Each worker owns a full serving stack — the
 :class:`~repro.serving.service.OptimizerService` (deadline ladder, EWMA
-latency estimates, metrics) behind a
-:class:`~repro.cluster.shared_cache.TieredPlanCache` (private hot LRU
-over the cluster-shared serialized tier).  Being a separate *process*,
-its CPU-bound dynamic programming runs on its own core, which is the
+latency estimates, metrics) with its own in-process
+:class:`~repro.serving.plan_cache.PlanCache`.  Fingerprint-hash routing
+sends every repeat of a query to the same shard, so one private cache
+per shard is all the cluster needs.  Being a separate *process*, its
+CPU-bound dynamic programming runs on its own core, which is the
 entire point: N shards ≈ N cores of optimization throughput instead of
 one GIL's worth.
 
@@ -16,11 +17,12 @@ the service pool, responses are written back under a send lock (pool
 threads complete out of order), ``ping`` is answered immediately from
 the control loop with queue depth and metric snapshots, and ``version``
 messages move the catalog fence — the worker's service observes the
-shim sources and eagerly invalidates its hot tier, exactly as a
+shim sources and eagerly invalidates its cache, exactly as a
 single-process service observes a live catalog.
 
-On startup (including a post-crash restart) the worker re-warms its hot
-LRU from the shared tier's hottest entries, so a crash costs the
+A respawned worker receives one ``warm`` frame before any replayed
+request: the gateway's record of the shard's most recent full-quality
+answers, which the worker puts in its cache so a crash costs the
 cluster in-flight work (which the gateway retries) but not its cache.
 """
 
@@ -28,19 +30,22 @@ from __future__ import annotations
 
 import signal
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..serving.service import OptimizeRequest, OptimizerService, ServingResult
-from ..tools.serialize import SerializationError, query_from_dict
-from .protocol import (
-    ProtocolError,
-    decode_memory,
-    iter_requests,
-    read_frame,
-    write_frame,
+from ..serving.service import (
+    OptimizeRequest,
+    OptimizerService,
+    ServingResult,
+    plan_cache_key,
 )
-from .shared_cache import SharedCacheState, SharedPlanTier, TieredPlanCache
+from ..tools.serialize import (
+    SerializationError,
+    plan_from_dict,
+    plan_to_dict,
+    query_from_dict,
+)
+from .protocol import ProtocolError, decode_memory, read_frame, write_frame
 
 __all__ = ["WorkerConfig", "VersionShim", "worker_main"]
 
@@ -52,12 +57,8 @@ class WorkerConfig:
     shard_id: int
     initial_version: Tuple[int, ...] = ()
     threads: int = 1
-    hot_entries: int = 256
-    warm_limit: int = 64
-    shared_max_entries: int = 4096
     coarse_buckets: int = 3
     default_deadline: Optional[float] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
 
 
 class VersionShim:
@@ -113,8 +114,6 @@ def _decode_request(message: Dict[str, Any]) -> OptimizeRequest:
 
 
 def _result_message(request_id: int, result: ServingResult) -> Dict[str, Any]:
-    from ..tools.serialize import plan_to_dict
-
     return {
         "type": "result",
         "id": request_id,
@@ -130,8 +129,29 @@ def _result_message(request_id: int, result: ServingResult) -> Dict[str, Any]:
     }
 
 
-def worker_main(sock, shared_state: SharedCacheState,
-                config: WorkerConfig) -> None:
+def _warm(service: OptimizerService, entries: List[Dict[str, Any]],
+          version: Tuple[int, ...]) -> Tuple[int, int]:
+    """Put the gateway's recent answers in the cache; ``(warmed, errors)``.
+
+    An entry that does not decode is counted, not fatal: a bad warm
+    entry costs one cache miss, never the worker.
+    """
+    warmed = errors = 0
+    for entry in entries:
+        try:
+            request = _decode_request(entry["request"])
+            plan = plan_from_dict(entry["plan"])
+            key = plan_cache_key(request, version)
+            value = float(entry["objective_value"])
+        except (KeyError, TypeError, ValueError, SerializationError):
+            errors += 1
+            continue
+        service.cache.put(key, plan, value, rung=entry.get("rung", "full"))
+        warmed += 1
+    return warmed, errors
+
+
+def worker_main(sock, config: WorkerConfig) -> None:
     """Entry point of one worker process; returns on shutdown/EOF."""
     # The gateway owns Ctrl-C handling; workers exit via shutdown/EOF.
     try:
@@ -144,13 +164,10 @@ def worker_main(sock, shared_state: SharedCacheState,
     sender = _FrameSender(wfile)
 
     shims = [VersionShim(v) for v in config.initial_version]
-    shared = SharedPlanTier(shared_state, max_entries=config.shared_max_entries)
-    cache = TieredPlanCache(shared, hot_entries=config.hot_entries)
-    warmed = cache.warm_from_shared(config.warm_limit)
+    warmed = warm_errors = 0
 
     service = OptimizerService(
         max_workers=config.threads,
-        cache=cache,
         catalog_sources=shims,
         coarse_buckets=config.coarse_buckets,
         default_deadline=config.default_deadline,
@@ -182,30 +199,20 @@ def worker_main(sock, shared_state: SharedCacheState,
                 break  # gateway hung up
             mtype = message["type"]
 
-            if mtype in ("optimize", "optimize_batch"):
-                # A legacy single-request frame is a batch of one; every
-                # request in the frame is answered independently.
-                for body in iter_requests(message):
-                    request_id = int(body["id"])
-                    try:
-                        request = _decode_request(body)
-                    except ProtocolError as exc:
-                        sender.send({
-                            "type": "error", "id": request_id,
-                            "error": "ProtocolError", "message": str(exc),
-                        })
-                        continue
-                    try:
-                        future = service.submit(request)
-                    except RuntimeError as exc:
-                        sender.send({
-                            "type": "error", "id": request_id,
-                            "error": "RuntimeError", "message": str(exc),
-                        })
-                        continue
-                    future.add_done_callback(
-                        lambda f, rid=request_id: _respond(rid, f)
-                    )
+            if mtype == "optimize":
+                request_id = int(message["id"])
+                try:
+                    request = _decode_request(message)
+                    future = service.submit(request)
+                except (ProtocolError, RuntimeError) as exc:
+                    sender.send({
+                        "type": "error", "id": request_id,
+                        "error": type(exc).__name__, "message": str(exc),
+                    })
+                    continue
+                future.add_done_callback(
+                    lambda f, rid=request_id: _respond(rid, f)
+                )
 
             elif mtype == "ping":
                 sender.send({
@@ -215,8 +222,9 @@ def worker_main(sock, shared_state: SharedCacheState,
                     "queue_depth": service.pending_requests(),
                     "version": [s.version for s in shims],
                     "warmed": warmed,
+                    "warm_errors": warm_errors,
                     "metrics": service.metrics_snapshot(),
-                    "cache": cache.stats(),
+                    "cache": service.cache.stats(),
                 })
 
             elif mtype == "version":
@@ -226,9 +234,15 @@ def worker_main(sock, shared_state: SharedCacheState,
                     shims.append(VersionShim())
                 for shim, value in zip(shims, fence):
                     shim.version = value
-                # Eagerly drop stale hot/shared entries rather than
-                # waiting for the next request's refresh.
-                cache.invalidate_stale(tuple(fence))
+                # Eagerly drop stale entries rather than waiting for the
+                # next request's refresh.
+                service.cache.invalidate_stale(tuple(fence))
+
+            elif mtype == "warm":
+                version = tuple(s.version for s in shims)
+                done, failed = _warm(service, message.get("entries", []), version)
+                warmed += done
+                warm_errors += failed
 
             elif mtype == "shutdown":
                 sender.send({"type": "bye", "shard": config.shard_id})

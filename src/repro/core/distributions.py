@@ -524,10 +524,18 @@ class DiscreteDistribution:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiscreteDistribution):
             return NotImplemented
-        return (
-            self._values.shape == other._values.shape
-            and bool(np.allclose(self._values, other._values))
-            and bool(np.allclose(self._probs, other._probs))
+        if self._values.shape != other._values.shape:
+            return False
+        # Byte-identical arrays (the same document decoded twice, as on
+        # every plan-cache lookup in a cluster worker) are allclose by
+        # definition; the tolerance test costs tens of microseconds.
+        if (
+            self._values.tobytes() == other._values.tobytes()
+            and self._probs.tobytes() == other._probs.tobytes()
+        ):
+            return True
+        return bool(np.allclose(self._values, other._values)) and bool(
+            np.allclose(self._probs, other._probs)
         )
 
     def __hash__(self) -> int:

@@ -28,6 +28,7 @@ from .service import (
     OptimizeRequest,
     OptimizerService,
     ServingResult,
+    plan_cache_key,
 )
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "PlanCache",
     "PlanCacheKey",
     "memory_key",
+    "plan_cache_key",
     "LatencyEstimator",
     "OptimizeRequest",
     "OptimizerService",

@@ -82,10 +82,9 @@ class PlanCacheKey(NamedTuple):
 class CachedPlan:
     """A deserialized cache hit: the plan, its objective value, its rung.
 
-    ``tier`` names which cache tier satisfied the lookup — ``"hot"`` for
-    this in-process LRU; the cluster's
-    :class:`~repro.cluster.shared_cache.TieredPlanCache` reports
-    ``"shared"`` for hits served from the cross-process tier.
+    ``tier`` names which cache tier satisfied the lookup.  There is one
+    tier, this in-process LRU, so it is always ``"hot"``; results and
+    cluster metrics still carry the name.
     """
 
     plan: Plan

@@ -54,6 +54,7 @@ from .plan_cache import PlanCache, PlanCacheKey, memory_key
 
 __all__ = [
     "OptimizeRequest",
+    "plan_cache_key",
     "ServingResult",
     "LatencyEstimator",
     "OptimizerService",
@@ -111,6 +112,25 @@ class OptimizeRequest:
         )
 
 
+def plan_cache_key(request: OptimizeRequest,
+                   version: Tuple[int, ...]) -> PlanCacheKey:
+    """The exact cache identity of ``request`` at catalog ``version``.
+
+    The service keys its plan cache on it and the cluster gateway
+    coalesces in-flight duplicates on it, so both agree on what counts
+    as "the same request".  The objective must already be validated.
+    """
+    cm = request.cost_model if request.cost_model is not None else CostModel()
+    return PlanCacheKey(
+        fingerprint=query_fingerprint(request.query),
+        objective=_OBJECTIVES[str(request.objective).lower()],
+        model_key=_model_key(cm),
+        memory=memory_key(request.memory),
+        knobs=request.knobs(),
+        catalog_version=version,
+    )
+
+
 @dataclass(frozen=True)
 class ServingResult:
     """What the service hands back: a plan, plus how it was produced."""
@@ -124,7 +144,7 @@ class ServingResult:
     deadline: Optional[float] = None
     deadline_exceeded: bool = False
     skipped_rungs: Tuple[str, ...] = ()
-    cache_tier: Optional[str] = None  # "hot"/"shared" on a hit, else None
+    cache_tier: Optional[str] = None  # "hot" on a hit, else None
 
     @property
     def degraded(self) -> bool:
@@ -341,12 +361,11 @@ class OptimizerService:
         """Detect catalog/feedback mutations; evict stale plans eagerly.
 
         Only the fence comparison runs under ``_version_lock``; the
-        eviction itself happens outside it because the cache may be a
-        :class:`~repro.cluster.shared_cache.TieredPlanCache` whose shared
-        tier takes the Manager lock — a cross-process round trip that
-        must not be held under an in-process lock (LOCK002).  Eviction is
-        idempotent (it drops anything older than ``current``), so two
-        racing refreshers at worst both invalidate.
+        eviction itself happens outside it, under the cache's own lock,
+        so the two locks are never nested and a cache scan never blocks
+        another thread's fence check.  Eviction is idempotent (it drops
+        anything older than ``current``), so two racing refreshers at
+        worst both invalidate.
         """
         current = self._catalog_version()
         with self._version_lock:
@@ -377,16 +396,8 @@ class OptimizerService:
                 f"objective {request.objective!r} requires the memory= argument"
             )
 
-        version = self._refresh_catalog_version()
+        key = plan_cache_key(request, self._refresh_catalog_version())
         cm = request.cost_model if request.cost_model is not None else CostModel()
-        key = PlanCacheKey(
-            fingerprint=query_fingerprint(request.query),
-            objective=kind,
-            model_key=_model_key(cm),
-            memory=memory_key(request.memory),
-            knobs=request.knobs(),
-            catalog_version=version,
-        )
 
         if self.cache is not None:
             hit = self.cache.get(key)
@@ -401,7 +412,7 @@ class OptimizerService:
                     cache_hit=True,
                     latency=latency,
                     deadline=self._deadline_of(request),
-                    cache_tier=getattr(hit, "tier", "hot"),
+                    cache_tier=hit.tier,
                 )
 
         result, rung, skipped = self._run_ladder(request, kind, cm, t0)

@@ -1,11 +1,11 @@
 """End-to-end gateway tests: real worker processes over real sockets.
 
-Each test spins up a small cluster (one Manager process plus 1–2
-workers), so the file trades breadth per test for a handful of spawns.
-Queries are kept tiny (2–3 relations) to make each optimization cheap;
-the crash drill kills the worker *before* dispatch, which exercises the
-same EOF → respawn → replay path as a mid-flight crash but without
-racing the optimizer.
+Each test spins up a small cluster (1–2 worker processes), so the file
+trades breadth per test for a handful of spawns.  Queries are kept tiny
+(2–3 relations) to make each optimization cheap; the crash drills kill
+the worker *before* dispatch, which exercises the same EOF → respawn →
+re-warm → replay path as a mid-flight crash but without racing the
+optimizer.
 """
 
 from __future__ import annotations
@@ -14,7 +14,10 @@ import asyncio
 
 import pytest
 
-from repro.cluster import AdmissionController, ClusterGateway
+from repro.catalog.schema import Catalog, Column, Table
+from repro.catalog.statistics import StatisticsCatalog
+from repro.cluster import AdmissionController, ClusterGateway, fingerprint_digest
+from repro.cluster.protocol import encode_frame
 from repro.core.distributions import DiscreteDistribution
 from repro.optimizer.errors import OptimizerConfigError
 from repro.plans.query import JoinPredicate, JoinQuery, RelationSpec
@@ -59,7 +62,7 @@ class TestOptimize:
         assert first.objective_value > 0
 
         assert again.ok and again.cache_hit
-        assert again.cache_tier in ("hot", "shared")
+        assert again.cache_tier == "hot"
         assert again.objective_value == pytest.approx(first.objective_value)
 
     def test_identical_inflight_requests_coalesce(self):
@@ -131,7 +134,7 @@ class TestCrashResilience:
     def test_dead_worker_is_restarted_and_request_replayed(self):
         async def scenario():
             async with ClusterGateway(shards=1) as gw:
-                await gw.optimize(_request())  # seed the shared tier
+                await gw.optimize(_request())  # an answer to re-warm from
                 gw.kill_worker(0)
                 # The next request hits the dead socket: the gateway must
                 # respawn the worker and replay, never drop.
@@ -147,8 +150,87 @@ class TestCrashResilience:
         assert result.retries >= 1
         assert snapshot["restarts"] >= 1
         assert pongs[0] is not None and pongs[0]["shard"] == 0
-        # The respawned worker re-warmed its hot tier from the shared one.
+        # The gateway re-warmed the respawned worker's cache.
         assert pongs[0]["warmed"] >= 1
+        assert pongs[0]["warm_errors"] == 0
+
+    def test_rewarmed_answer_is_a_bit_equal_cache_hit(self):
+        async def scenario():
+            async with ClusterGateway(shards=1) as gw:
+                first = await gw.optimize(_request())
+                await _kill_and_await_respawn(gw, 0)
+                pong = await gw.ping(0)
+                again = await gw.optimize(_request())
+                return first, pong, again
+
+        first, pong, again = asyncio.run(scenario())
+        assert not first.cache_hit
+        assert pong["warmed"] == 1 and pong["warm_errors"] == 0
+        # The new worker answered (no replay) from the warmed entry: the
+        # plan document went worker -> gateway -> new worker and back,
+        # and the objective survived every trip exactly (bit-equal is
+        # the point, so no tolerance).
+        assert again.cache_hit and again.retries == 0
+        assert again.objective_value == first.objective_value  # optlint: disable=FLT001
+        assert again.plan_doc == first.plan_doc
+
+    def test_version_bump_before_crash_warms_nothing(self):
+        schema = Catalog([Table("R", [Column("a")], n_rows=1000)])
+        catalog = StatisticsCatalog(schema)
+
+        async def scenario():
+            async with ClusterGateway(
+                shards=1, catalog_sources=[catalog]
+            ) as gw:
+                await gw.optimize(_request())
+                catalog.bump_version()
+                await _kill_and_await_respawn(gw, 0)
+                pong = await gw.ping(0)
+                after = await gw.optimize(_request())
+                return pong, after
+
+        pong, after = asyncio.run(scenario())
+        assert pong["warmed"] == 0
+        assert pong["version"] == [catalog.version]
+        assert after.ok and not after.cache_hit
+
+    def test_undecodable_warm_entry_is_counted_not_fatal(self):
+        async def scenario():
+            async with ClusterGateway(shards=1) as gw:
+                await gw.optimize(_request())
+                good = next(iter(gw.shards[0].recent.values()))
+                bad = dict(good, plan={"kind": "no-such-node"})
+                gw.shards[0].writer.write(encode_frame(
+                    {"type": "warm", "entries": [bad, {"request": 3}, good]}
+                ))
+                pong = await gw.ping(0)
+                again = await gw.optimize(_request())
+                return pong, again
+
+        pong, again = asyncio.run(scenario())
+        assert pong["warm_errors"] == 2 and pong["warmed"] == 1
+        assert again.ok and again.cache_hit  # the worker kept serving
+
+
+async def _kill_and_await_respawn(gw: ClusterGateway, index: int) -> None:
+    """Kill one worker and wait until the gateway has replaced it."""
+    shard = gw.shards[index]
+    old_pid = shard.proc.pid
+    gw.kill_worker(index)
+    for _ in range(500):
+        if shard.proc.pid != old_pid:
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError("worker was not respawned")
+
+
+class TestDigests:
+    def test_fingerprint_digest_is_stable(self):
+        fp = ("chain", ("R", 100.0), ("S", 50.0))
+        assert fingerprint_digest(fp) == fingerprint_digest(
+            ("chain", ("R", 100.0), ("S", 50.0))
+        )
+        assert fingerprint_digest(fp) != fingerprint_digest(("star",))
 
 
 class TestHealth:
@@ -165,3 +247,27 @@ class TestHealth:
             assert pong["shard"] == i
             assert pong["queue_depth"] == 0
             assert "cache" in pong and "metrics" in pong
+
+    def test_health_loop_counts_a_failed_sweep_and_keeps_going(self):
+        async def scenario():
+            async with ClusterGateway(shards=1, health_interval=0.02) as gw:
+                real = gw.check_health
+                calls = []
+
+                async def flaky(timeout: float = 5.0):
+                    calls.append(1)
+                    if len(calls) == 1:
+                        raise RuntimeError("injected sweep failure")
+                    return await real(timeout)
+
+                gw.check_health = flaky
+                for _ in range(500):
+                    if len(calls) >= 2:
+                        break
+                    await asyncio.sleep(0.01)
+                counter = gw.metrics.registry.counter("cluster.health_errors")
+                return len(calls), counter.value
+
+        calls, errors = asyncio.run(scenario())
+        assert errors == 1
+        assert calls >= 2  # the sweep after the failure still ran

@@ -1,11 +1,11 @@
 """Cross-process cache invalidation: a catalog bump on the gateway side
-must fence out every cached plan in the cluster — each worker's hot LRU
-*and* the shared serialized tier.
+must fence out every cached plan in the cluster — each worker's plan
+cache *and* the gateway's record of recent answers it re-warms from.
 
 This is the cluster version of ``tests/serving/test_invalidation.py``:
 same StatisticsCatalog / SelectivityFeedback version sources, but the
 plans now live in other processes, reached only through the gateway's
-version-broadcast frames and the digested cache keys.
+version-broadcast frames.
 """
 
 from __future__ import annotations
@@ -68,35 +68,38 @@ class TestClusterInvalidation:
             ) as gw:
                 miss = await gw.optimize(_request())
                 hit = await gw.optimize(_request())
-                shared_before = len(gw.shared_tier)
+                before = (await gw.ping(miss.shard))["cache"]
 
                 # ANALYZE lands on the gateway side of the wall.
                 stats_catalog.analyze_column("R", "a", np.arange(2_000.0))
 
                 after = await gw.optimize(_request())
                 pongs = await gw.check_health()
-                return miss, hit, shared_before, after, len(gw.shared_tier), pongs
+                recent = [len(s.recent) for s in gw.shards]
+                return miss, hit, before, after, pongs, recent
 
-        miss, hit, shared_before, after, shared_after, pongs = (
-            asyncio.run(scenario())
-        )
+        miss, hit, before, after, pongs, recent = asyncio.run(scenario())
         assert not miss.cache_hit and hit.cache_hit
-        assert shared_before == 1
+        assert before["entries"] == 1
 
         # The stale plan was refused everywhere: the follow-up request
-        # re-optimized, and the shared tier holds only the fresh entry.
+        # re-optimized on the same shard, whose cache now holds only the
+        # fresh entry, and the re-warm record holds only the fresh answer.
         assert not after.cache_hit
-        assert shared_after == 1
+        assert after.shard == miss.shard
+        assert pongs[after.shard]["cache"]["entries"] == 1
+        assert pongs[after.shard]["cache"]["misses"] == 2
+        assert sorted(recent) == [0, 1]
 
         # Every worker saw the new fence (the broadcast precedes the
-        # request on the wire), and the owning worker's hot LRU purged
+        # request on the wire), and the owning worker's cache purged
         # its stale entry rather than waiting for LRU pressure.
         new_version = [stats_catalog.version]
         owner = after.shard
         for pong in pongs:
             assert pong is not None
             assert pong["version"] == new_version
-        assert pongs[owner]["cache"]["hot"]["invalidations"] >= 1
+        assert pongs[owner]["cache"]["invalidations"] >= 1
 
     def test_feedback_fences_like_analyze(self, stats_catalog):
         feedback = SelectivityFeedback()

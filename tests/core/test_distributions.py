@@ -418,6 +418,15 @@ class TestIdentity:
     def test_inequality(self):
         assert two_point(1.0, 0.5, 2.0) != two_point(1.0, 0.6, 2.0)
 
+    def test_equality_tolerates_rounding_beyond_exact_bytes(self):
+        # Byte-identical arrays take the exact fast path; arrays that are
+        # only allclose must still compare equal through the tolerance
+        # test, and a different support length is never equal.
+        a = DiscreteDistribution([1.0, 2.0], [0.3, 0.7])
+        assert a == DiscreteDistribution([1.0, 2.0], [0.3, 0.7])
+        assert a == DiscreteDistribution([1.0 + 1e-12, 2.0], [0.3, 0.7])
+        assert a != DiscreteDistribution([1.0, 2.0, 3.0], [0.3, 0.4, 0.3])
+
     def test_repr_roundtrippable_info(self):
         r = repr(two_point(1.0, 0.5, 2.0))
         assert "1" in r and "2" in r
