@@ -210,8 +210,6 @@ class ClusterGateway:
     admission:
         Custom :class:`AdmissionController` (defaults tuned for small
         replay workloads).
-    worker_threads / coarse_buckets / default_deadline:
-        Forwarded into each shard's :class:`WorkerConfig`.
     health_interval:
         Seconds between background health sweeps (``None`` disables the
         task; :meth:`check_health` can still be called manually).
@@ -225,9 +223,6 @@ class ClusterGateway:
         catalog_sources: Sequence = (),
         admission: Optional[AdmissionController] = None,
         metrics: Optional[ClusterMetrics] = None,
-        worker_threads: int = 1,
-        coarse_buckets: int = 3,
-        default_deadline: Optional[float] = None,
         health_interval: Optional[float] = None,
         max_retries: int = 2,
     ):
@@ -239,9 +234,6 @@ class ClusterGateway:
         self._sources = tuple(catalog_sources)
         self.admission = admission if admission is not None else AdmissionController()
         self.metrics = metrics if metrics is not None else ClusterMetrics()
-        self._worker_threads = worker_threads
-        self._coarse_buckets = coarse_buckets
-        self._default_deadline = default_deadline
         self.health_interval = health_interval
         self.max_retries = max_retries
 
@@ -330,9 +322,6 @@ class ClusterGateway:
             # The fence the gateway last broadcast, which is also the
             # version of every entry a warm frame carries.
             initial_version=self._last_version,
-            threads=self._worker_threads,
-            coarse_buckets=self._coarse_buckets,
-            default_deadline=self._default_deadline,
         )
 
     async def _spawn(self, shard: _Shard) -> None:
@@ -567,6 +556,8 @@ class ClusterGateway:
 
     def shard_for(self, fingerprint: Tuple) -> int:
         """Fingerprint-hash routing: the shard owning this query."""
+        if self.n_shards == 1:
+            return 0
         return int(fingerprint_digest(fingerprint)[:8], 16) % self.n_shards
 
     async def optimize(self, request: Optional[OptimizeRequest] = None,

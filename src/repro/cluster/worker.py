@@ -31,7 +31,7 @@ from __future__ import annotations
 import signal
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..serving.service import (
     OptimizeRequest,
@@ -56,9 +56,6 @@ class WorkerConfig:
 
     shard_id: int
     initial_version: Tuple[int, ...] = ()
-    threads: int = 1
-    coarse_buckets: int = 3
-    default_deadline: Optional[float] = None
 
 
 class VersionShim:
@@ -166,12 +163,7 @@ def worker_main(sock, config: WorkerConfig) -> None:
     shims = [VersionShim(v) for v in config.initial_version]
     warmed = warm_errors = 0
 
-    service = OptimizerService(
-        max_workers=config.threads,
-        catalog_sources=shims,
-        coarse_buckets=config.coarse_buckets,
-        default_deadline=config.default_deadline,
-    )
+    service = OptimizerService(max_workers=1, catalog_sources=shims)
 
     def _respond(request_id: int, future) -> None:
         if future.cancelled():

@@ -10,18 +10,19 @@ LSC plan *provided the classical point (mean/mode) is among the buckets* —
 callers can ensure this with ``include_mean=True`` (the default, matching
 the paper's "without loss of generality" remark).  It may still miss the
 true LEC plan: a plan optimal for no single bucket can win on average.
+
+Algorithm A is Algorithm B at ``c = 1``: keeping one plan per dag node,
+each bucket's candidate list is just its winner.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..costmodel.model import CostModel
-from ..optimizer.costers import PointCoster
-from ..optimizer.result import OptimizationResult, OptimizerStats, PlanChoice
-from ..optimizer.systemr import SystemRDP
-from ..plans.nodes import Plan
+from ..optimizer.result import OptimizationResult
 from ..plans.query import JoinQuery
+from .algorithm_b import optimize_algorithm_b
 from .context import OptimizationContext
 from .distributions import DiscreteDistribution
 
@@ -45,32 +46,13 @@ def optimize_algorithm_a(
     pass.  A shared ``context`` lets the ``b`` black-box invocations (and
     any sibling optimizers) reuse memoized sizes and step costs.
     """
-    cm = cost_model if cost_model is not None else CostModel()
-    if context is None:
-        context = OptimizationContext(query, cost_model=cm)
-    probe_points = list(memory.support())
-    if include_mean and memory.mean() not in probe_points:
-        probe_points.append(memory.mean())
-
-    stats = OptimizerStats(invocations=0)
-    seen: dict = {}
-    for m in probe_points:
-        engine = SystemRDP(
-            PointCoster(m, cost_model=cm),
-            plan_space=plan_space,
-            allow_cross_products=allow_cross_products,
-            context=context,
-        )
-        result = engine.optimize(query)
-        stats = stats.merged_with(result.stats)
-        plan = result.plan
-        seen.setdefault(plan.signature(), plan)
-
-    evals_before = cm.eval_count
-    choices: List[PlanChoice] = []
-    for plan in seen.values():
-        expected = cm.plan_expected_cost(plan, query, memory)
-        choices.append(PlanChoice(plan=plan, objective=expected))
-    choices.sort(key=lambda c: c.objective)
-    stats.formula_evaluations += cm.eval_count - evals_before
-    return OptimizationResult(best=choices[0], candidates=choices, stats=stats)
+    return optimize_algorithm_b(
+        query,
+        memory,
+        c=1,
+        cost_model=cost_model,
+        plan_space=plan_space,
+        allow_cross_products=allow_cross_products,
+        include_mean=include_mean,
+        context=context,
+    )

@@ -8,9 +8,10 @@ argument goes through — the result is the exact LEC left-deep plan
 (Theorem 3.3).
 
 Dynamic parameters (Section 3.5) need no new algorithm: passing a
-:class:`~repro.core.markov.MarkovParameter` swaps the static memory
-distribution for per-phase marginals, and the very same DP returns the
-exact LEC plan over the random memory *sequence* (Theorem 3.4).
+:class:`~repro.core.markov.MarkovParameter` makes the same
+:class:`~repro.optimizer.costers.ExpectedCoster` cost each phase under
+its marginal, and the very same DP returns the exact LEC plan over the
+random memory *sequence* (Theorem 3.4).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, Union
 
 from ..core.markov import MarkovParameter
 from ..costmodel.model import CostModel
-from ..optimizer.costers import ExpectedCoster, MarkovCoster
+from ..optimizer.costers import ExpectedCoster
 from ..optimizer.result import OptimizationResult
 from ..optimizer.systemr import SystemRDP
 from ..plans.query import JoinQuery
@@ -51,19 +52,8 @@ def optimize_algorithm_c(
         for static memory only (bushy trees have no canonical phase
         order).
     """
-    if isinstance(memory, MarkovParameter):
-        coster: Union[ExpectedCoster, MarkovCoster] = MarkovCoster(
-            memory, cost_model=cost_model
-        )
-    elif isinstance(memory, DiscreteDistribution):
-        coster = ExpectedCoster(memory, cost_model=cost_model)
-    else:
-        raise TypeError(
-            "memory must be a DiscreteDistribution or MarkovParameter, "
-            f"got {type(memory).__name__}"
-        )
     engine = SystemRDP(
-        coster,
+        ExpectedCoster(memory, cost_model=cost_model),
         plan_space=plan_space,
         allow_cross_products=allow_cross_products,
         top_k=top_k,

@@ -540,8 +540,13 @@ class DiscreteDistribution:
 
     def __hash__(self) -> int:
         if self._hash is None:
+            # Python floats hash like the np.float64 scalars they come
+            # from, at a fraction of the cost of iterating the array.
             self._hash = hash(
-                (tuple(np.round(self._values, 12)), tuple(np.round(self._probs, 12)))
+                (
+                    tuple(np.round(self._values, 12).tolist()),
+                    tuple(np.round(self._probs, 12).tolist()),
+                )
             )
         return self._hash
 

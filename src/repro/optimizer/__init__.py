@@ -3,7 +3,6 @@
 from .costers import (
     Coster,
     ExpectedCoster,
-    MarkovCoster,
     MultiParamCoster,
     PointCoster,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "Coster",
     "PointCoster",
     "ExpectedCoster",
-    "MarkovCoster",
     "MultiParamCoster",
     "OptimizationResult",
     "OptimizerStats",

@@ -3,14 +3,13 @@
 The DP engine (:mod:`repro.optimizer.systemr`) is generic over *how a
 step is costed*; each of the paper's settings is one :class:`Coster`:
 
-* :class:`PointCoster` — Φ at one fixed parameter setting.  This is the
-  LSC baseline (Theorem 2.1) and, run once per bucket, the inner loop of
-  Algorithms A and B.
-* :class:`ExpectedCoster` — ``E_M[Φ]`` with static random memory: the
-  exact-LEC Algorithm C (Theorem 3.3).
-* :class:`MarkovCoster` — dynamic memory: each join phase is costed
-  against the chain's marginal distribution for that phase
-  (Theorem 3.4).
+* :class:`ExpectedCoster` — ``E[Φ]`` over memory alone.  A static
+  distribution gives the exact-LEC Algorithm C (Theorem 3.3); a Markov
+  chain costs each join phase against the chain's marginal for that
+  phase (Theorem 3.4).
+* :class:`PointCoster` — Φ at one fixed memory value, i.e. the expected
+  cost under a point mass.  This is the LSC baseline (Theorem 2.1) and,
+  run once per bucket, the inner loop of Algorithms A and B.
 * :class:`MultiParamCoster` — Algorithm D: memory, input sizes and
   selectivities all distributional; carries a page-count distribution per
   relation subset and takes expectations over (M, |L|, |R|) triples,
@@ -37,12 +36,12 @@ context builds a private one, which reproduces the historical
 from __future__ import annotations
 
 import abc
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.context import OptimizationContext
-from ..core.distributions import DiscreteDistribution
+from ..core.distributions import DiscreteDistribution, point_mass
 from ..core.expected_cost import (
     FAST_METHODS,
     expected_external_sort_cost_model,
@@ -64,7 +63,6 @@ __all__ = [
     "Coster",
     "PointCoster",
     "ExpectedCoster",
-    "MarkovCoster",
     "MultiParamCoster",
 ]
 
@@ -80,7 +78,8 @@ class Coster(abc.ABC):
     against :attr:`~repro.plans.space.PlanSpace.ordered_phases`.
     """
 
-    #: Phase-indexed objectives (Markov) need canonical phase numbering.
+    #: Phase-indexed objectives (a Markov chain) need canonical phase
+    #: numbering.
     requires_ordered_phases: bool = False
 
     def __init__(self, cost_model: Optional[CostModel] = None):
@@ -218,15 +217,6 @@ class Coster(abc.ABC):
         assert self.context is not None, "coster used before bind()"
         return self.context.step_cost(key, compute)
 
-    def supports_bushy(self) -> bool:
-        """Whether this objective is well-defined for bushy plans.
-
-        Compatibility wrapper: the capability now lives on
-        :class:`~repro.plans.space.PlanSpace` (``ordered_phases``) matched
-        against :attr:`requires_ordered_phases`.
-        """
-        return not self.requires_ordered_phases
-
     def pages_lower_bound(self, rels: FrozenSet[str]) -> float:
         """A lower bound on the page count this coster charges for ``rels``.
 
@@ -281,14 +271,17 @@ def _pending_steps(context, coster, requests):
 
 
 def _pending_by_formula(context, coster, requests):
-    """Pending steps grouped by ``(method, left_presorted, right_presorted)``.
+    """Pending steps grouped by formula and memory.
 
-    Steps in one group evaluate the same formula, so they can share one
-    vectorized grid.
+    The group key is ``(method, phase, left_presorted, right_presorted)``.
+    Steps in one group evaluate the same formula under the same memory,
+    so they can share one vectorized grid.  The phase only splits groups
+    for phase-indexed objectives; everywhere else it is ``0``.
     """
     groups = {}
     for key, req in _pending_steps(context, coster, requests):
-        groups.setdefault((req[0], req[4], req[5]), []).append((key, req))
+        phase = req[3] if coster.requires_ordered_phases else 0
+        groups.setdefault((req[0], phase, req[4], req[5]), []).append((key, req))
     return groups
 
 
@@ -317,8 +310,10 @@ def _expected_join_rows(
     Each pair's expectation is finished with the same ``np.dot`` against
     the memory pmf that :meth:`DiscreteDistribution.expectation` uses, so
     the results are bit-identical to the scalar
-    ``memory.expectation(lambda m: formula(...))`` path.  ``eval_count``
-    advances by the full grid size, as for the scalar path.
+    ``memory.expectation(lambda m: formula(...))`` path.  With one bucket
+    the probability is exactly ``1.0``, so the rows are returned as they
+    are.  ``eval_count`` advances by the full grid size, as for the
+    scalar path.
     """
     mv = memory.values
     shape = (left_pages.size, mv.size)
@@ -331,181 +326,73 @@ def _expected_join_rows(
         )
     else:
         rows = cost_model.join_cost_many(method, grid_l, grid_r, grid_m)
+    if mv.size == 1:
+        return rows.tolist()
     return [float(np.dot(row, memory.probs)) for row in rows.reshape(shape)]
 
 
-class PointCoster(Coster):
-    """Φ at a single parameter setting — the LSC view.
-
-    ``memory`` is the one specific value the classical optimizer assumes
-    (the mean or mode of the true distribution).
-    """
-
-    def __init__(self, memory: float, cost_model: Optional[CostModel] = None):
-        super().__init__(cost_model)
-        if memory <= 0:
-            raise ValueError("memory must be positive")
-        self.memory = float(memory)
-
-    def _memo_key(self) -> tuple:
-        return ("point", self.memory)
-
-    def join_step_cost(
-        self, method, left_rels, right_rels, phase,
-        left_presorted=False, right_presorted=False,
-    ):
-        key = self._join_step_key(
-            method, left_rels, right_rels, phase, left_presorted, right_presorted
-        )
-        return self._step(
-            key,
-            lambda: self._join_formula(
-                method,
-                self._pages(left_rels),
-                self._pages(right_rels),
-                self.memory,
-                left_presorted,
-                right_presorted,
-            ),
-        )
-
-    def prefetch_join_steps(self, requests, pool=None):
-        """One ``join_cost_many`` grid per method for the whole level.
-
-        The vectorized formulas are bit-identical to the scalar ones per
-        element, so the memoized values match what on-demand evaluation
-        would store; ``eval_count`` advances by one per step either way.
-        """
-        assert self.context is not None, "coster used before bind()"
-        for (method, lps, rps), group in _pending_by_formula(
-            self.context, self, requests
-        ).items():
-            keys = [key for key, _ in group]
-            lp = np.array([self._pages(req[1]) for _, req in group])
-            rp = np.array([self._pages(req[2]) for _, req in group])
-            mem = np.full(lp.size, self.memory)
-            if method is JoinMethod.SORT_MERGE and (lps or rps):
-                costs = self.cost_model.sort_merge_cost_ordered_many(
-                    lp, rp, mem, lps, rps
-                )
-            else:
-                costs = self.cost_model.join_cost_many(method, lp, rp, mem)
-            _store_steps(self.context, keys, costs)
-
-    def write_cost(self, rels):
-        return self._pages(rels)
-
-    def final_sort_cost(self, rels, phase):
-        key = (*self._memo_key(), "sort", rels)
-        return self._step(
-            key, lambda: self.cost_model.sort_cost(self._pages(rels), self.memory)
-        )
-
-    def _union_sort_cost(self, pages):
-        return self.cost_model.sort_cost(pages, self.memory)
-
-
 class ExpectedCoster(Coster):
-    """``E_M[Φ]`` with static random memory — Algorithm C's objective."""
+    """``E[Φ]`` under one memory model — every memory-only objective.
 
-    def __init__(
-        self,
-        memory: DiscreteDistribution,
-        cost_model: Optional[CostModel] = None,
-    ):
-        super().__init__(cost_model)
-        self.memory = memory
+    ``memory`` is either
 
-    def _memo_key(self) -> tuple:
-        return ("expected", self.memory)
-
-    def join_step_cost(
-        self, method, left_rels, right_rels, phase,
-        left_presorted=False, right_presorted=False,
-    ):
-        key = self._join_step_key(
-            method, left_rels, right_rels, phase, left_presorted, right_presorted
-        )
-
-        def compute() -> float:
-            lp = self._pages(left_rels)
-            rp = self._pages(right_rels)
-            return self.memory.expectation(
-                lambda m: self._join_formula(
-                    method, lp, rp, m, left_presorted, right_presorted
-                )
-            )
-
-        return self._step(key, compute)
-
-    def prefetch_join_steps(self, requests, pool=None):
-        """One (steps × memory-buckets) formula grid per method."""
-        assert self.context is not None, "coster used before bind()"
-        for (method, lps, rps), group in _pending_by_formula(
-            self.context, self, requests
-        ).items():
-            keys = [key for key, _ in group]
-            lp = np.array([self._pages(req[1]) for _, req in group])
-            rp = np.array([self._pages(req[2]) for _, req in group])
-            costs = _expected_join_rows(
-                self.cost_model, method, lp, rp, self.memory, lps, rps
-            )
-            _store_steps(self.context, keys, costs)
-
-    def write_cost(self, rels):
-        return self._pages(rels)
-
-    def final_sort_cost(self, rels, phase):
-        key = (*self._memo_key(), "sort", rels)
-
-        def compute() -> float:
-            pages = self._pages(rels)
-            return self.memory.expectation(
-                lambda m: self.cost_model.sort_cost(pages, m)
-            )
-
-        return self._step(key, compute)
-
-    def _union_sort_cost(self, pages):
-        return self.memory.expectation(
-            lambda m: self.cost_model.sort_cost(pages, m)
-        )
-
-
-class MarkovCoster(Coster):
-    """Dynamic memory: phase ``k`` costed under the chain's ``marginal(k)``.
-
-    Exact for ordered-phase plan spaces (left-deep, zig-zag) because
-    every candidate for a subset of size ``s`` schedules its joins in the
-    same phases ``0..s-2`` and expectation distributes over the
-    phase-cost sum (Theorem 3.4).
+    * a :class:`~repro.core.distributions.DiscreteDistribution`: static
+      random memory, Algorithm C's objective (Theorem 3.3).  A point
+      mass is the LSC baseline (Theorem 2.1), see :class:`PointCoster`;
+    * a :class:`~repro.core.markov.MarkovParameter`: dynamic memory,
+      phase ``k`` costed under the chain's ``marginal(k)``.  Exact for
+      ordered-phase plan spaces (left-deep, zig-zag) because every
+      candidate for a subset of size ``s`` schedules its joins in the
+      same phases ``0..s-2`` and expectation distributes over the
+      phase-cost sum (Theorem 3.4).  Only a chain sets
+      ``requires_ordered_phases`` and folds the phase into memo keys.
     """
 
-    requires_ordered_phases = True
-
     def __init__(
         self,
-        chain: MarkovParameter,
+        memory: Union[DiscreteDistribution, MarkovParameter],
         cost_model: Optional[CostModel] = None,
     ):
         super().__init__(cost_model)
-        if self.cost_model.pipelined_methods:
-            raise ValueError(
-                "pipelined joins merge execution phases; the per-phase "
-                "Markov objective does not support them"
+        if isinstance(memory, MarkovParameter):
+            if self.cost_model.pipelined_methods:
+                raise ValueError(
+                    "pipelined joins merge execution phases; the per-phase "
+                    "Markov objective does not support them"
+                )
+            self.requires_ordered_phases = True
+        elif not isinstance(memory, DiscreteDistribution):
+            raise TypeError(
+                "memory must be a DiscreteDistribution or MarkovParameter, "
+                f"got {type(memory).__name__}"
             )
-        self.chain = chain
+        self.memory = memory
+        self._marginals: Dict[int, DiscreteDistribution] = {}
 
     def _memo_key(self) -> tuple:
         # Chains hash by identity; the key keeps the chain object alive,
         # so a context outliving the coster still resolves correctly.
-        return ("markov", self.chain)
+        if self.requires_ordered_phases:
+            return ("markov", self.memory)
+        return ("expected", self.memory)
+
+    def _phase_key(self, phase: int) -> tuple:
+        return (phase,) if self.requires_ordered_phases else ()
+
+    def _memory_at(self, phase: int) -> DiscreteDistribution:
+        """The memory distribution phase ``phase`` is costed under."""
+        if not self.requires_ordered_phases:
+            return self.memory
+        dist = self._marginals.get(phase)
+        if dist is None:
+            dist = self._marginals[phase] = self.memory.marginal(phase)
+        return dist
 
     def _join_step_key(
         self, method, left_rels, right_rels, phase, left_presorted, right_presorted
     ):
         return (
-            *self._memo_key(), "join", phase,
+            *self._memo_key(), "join", *self._phase_key(phase),
             method, left_rels, right_rels, left_presorted, right_presorted,
         )
 
@@ -520,8 +407,7 @@ class MarkovCoster(Coster):
         def compute() -> float:
             lp = self._pages(left_rels)
             rp = self._pages(right_rels)
-            marginal = self.chain.marginal(phase)
-            return marginal.expectation(
+            return self._memory_at(phase).expectation(
                 lambda m: self._join_formula(
                     method, lp, rp, m, left_presorted, right_presorted
                 )
@@ -530,22 +416,16 @@ class MarkovCoster(Coster):
         return self._step(key, compute)
 
     def prefetch_join_steps(self, requests, pool=None):
-        """Like :class:`ExpectedCoster` but grouped by execution phase.
-
-        Each phase is costed under its own marginal distribution, so the
-        phase joins the grouping key alongside the formula identity.
-        """
+        """One (steps × memory-buckets) formula grid per formula and phase."""
         assert self.context is not None, "coster used before bind()"
-        groups = {}
-        for key, req in _pending_steps(self.context, self, requests):
-            groups.setdefault((req[0], req[3], req[4], req[5]), []).append((key, req))
-        for (method, phase, lps, rps), group in groups.items():
+        for (method, phase, lps, rps), group in _pending_by_formula(
+            self.context, self, requests
+        ).items():
             keys = [key for key, _ in group]
             lp = np.array([self._pages(req[1]) for _, req in group])
             rp = np.array([self._pages(req[2]) for _, req in group])
             costs = _expected_join_rows(
-                self.cost_model, method, lp, rp, self.chain.marginal(phase),
-                lps, rps,
+                self.cost_model, method, lp, rp, self._memory_at(phase), lps, rps
             )
             _store_steps(self.context, keys, costs)
 
@@ -553,16 +433,36 @@ class MarkovCoster(Coster):
         return self._pages(rels)
 
     def final_sort_cost(self, rels, phase):
-        key = (*self._memo_key(), "sort", phase, rels)
+        key = (*self._memo_key(), "sort", *self._phase_key(phase), rels)
 
         def compute() -> float:
             pages = self._pages(rels)
-            marginal = self.chain.marginal(phase)
-            return marginal.expectation(
+            return self._memory_at(phase).expectation(
                 lambda m: self.cost_model.sort_cost(pages, m)
             )
 
         return self._step(key, compute)
+
+    def _union_sort_cost(self, pages):
+        # Unions only occur in unordered plan spaces, so memory is static.
+        return self.memory.expectation(
+            lambda m: self.cost_model.sort_cost(pages, m)
+        )
+
+
+class PointCoster(ExpectedCoster):
+    """Φ at a single memory value — the LSC view (Theorem 2.1).
+
+    ``memory`` is the one specific value the classical optimizer assumes
+    (the mean or mode of the true distribution).  The objective is the
+    expected cost under a point mass at that value, which is Φ itself,
+    bit for bit: a one-bucket expectation multiplies by exactly ``1.0``.
+    """
+
+    def __init__(self, memory: float, cost_model: Optional[CostModel] = None):
+        if memory <= 0:
+            raise ValueError("memory must be positive")
+        super().__init__(point_mass(float(memory)), cost_model)
 
 
 class MultiParamCoster(Coster):
@@ -596,13 +496,6 @@ class MultiParamCoster(Coster):
         self.memory = memory
         self.max_buckets = max_buckets
         self.fast = fast
-        self._survival = None
-
-    def bind(
-        self, query: JoinQuery, context: Optional[OptimizationContext] = None
-    ) -> None:
-        super().bind(query, context)
-        self._survival = self.context.survival_table(self.memory)
 
     def _memo_key(self) -> tuple:
         return ("multiparam", self.memory, self.max_buckets, self.fast)

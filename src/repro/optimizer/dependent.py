@@ -203,7 +203,7 @@ class BayesNetCoster(Coster):
         assert self.context is not None, "coster used before bind()"
         _, probs = self.net.joint_arrays()
         groups = _pending_by_formula(self.context, self, requests)
-        for (method, lps, rps), group in groups.items():
+        for (method, _, lps, rps), group in groups.items():
             keys = [key for key, _ in group]
             lp = np.vstack([self._pages_given_many(req[1]) for _, req in group])
             rp = np.vstack([self._pages_given_many(req[2]) for _, req in group])

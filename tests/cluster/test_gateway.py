@@ -17,6 +17,7 @@ import pytest
 from repro.catalog.schema import Catalog, Column, Table
 from repro.catalog.statistics import StatisticsCatalog
 from repro.cluster import AdmissionController, ClusterGateway, fingerprint_digest
+from repro.cluster import gateway as gateway_mod
 from repro.cluster.protocol import encode_frame
 from repro.core.distributions import DiscreteDistribution
 from repro.optimizer.errors import OptimizerConfigError
@@ -231,6 +232,16 @@ class TestDigests:
             ("chain", ("R", 100.0), ("S", 50.0))
         )
         assert fingerprint_digest(fp) != fingerprint_digest(("star",))
+
+    def test_single_shard_routes_without_hashing(self, monkeypatch):
+        def no_digest(fingerprint):
+            raise AssertionError("a 1-shard gateway must not hash")
+
+        monkeypatch.setattr(gateway_mod, "fingerprint_digest", no_digest)
+        gw = ClusterGateway(shards=1)
+        assert gw.shard_for(("chain", ("R", 100.0), ("S", 50.0))) == 0
+        with pytest.raises(AssertionError):
+            ClusterGateway(shards=2).shard_for(("star",))
 
 
 class TestHealth:

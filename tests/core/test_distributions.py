@@ -427,6 +427,26 @@ class TestIdentity:
         assert a == DiscreteDistribution([1.0 + 1e-12, 2.0], [0.3, 0.7])
         assert a != DiscreteDistribution([1.0, 2.0, 3.0], [0.3, 0.4, 0.3])
 
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            point_mass(1500.0),
+            two_point(2000.0, 0.8, 700.0),
+            DiscreteDistribution([0.1, 1.0 / 3.0, 7e5], [0.2, 0.3, 0.5]),
+            discretized_lognormal(1000.0, 0.9, 16),
+        ],
+    )
+    def test_hash_equals_numpy_scalar_tuple_form(self, dist):
+        # The hash is built from Python floats; np.float64 hashes like
+        # float, so it must equal the tuple-of-numpy-scalars form.
+        legacy = hash(
+            (
+                tuple(np.round(dist.values, 12)),
+                tuple(np.round(dist.probs, 12)),
+            )
+        )
+        assert hash(dist) == legacy
+
     def test_repr_roundtrippable_info(self):
         r = repr(two_point(1.0, 0.5, 2.0))
         assert "1" in r and "2" in r

@@ -9,7 +9,7 @@ from repro.core.distributions import DiscreteDistribution, point_mass
 from repro.costmodel import formulas
 from repro.costmodel.estimates import subset_size
 from repro.costmodel.model import DEFAULT_METHODS, CostModel
-from repro.optimizer.costers import MarkovCoster, PointCoster
+from repro.optimizer.costers import ExpectedCoster, PointCoster
 from repro.optimizer.exhaustive import exhaustive_best
 from repro.optimizer.systemr import SystemRDP
 from repro.plans.nodes import Join, Plan, Scan
@@ -63,7 +63,7 @@ class TestValidation:
 
         chain = sticky_chain(bimodal_memory, 0.5)
         with pytest.raises(ValueError):
-            MarkovCoster(chain, cost_model=pipe_cm)
+            ExpectedCoster(chain, cost_model=pipe_cm)
 
 
 class TestPlanCosting:

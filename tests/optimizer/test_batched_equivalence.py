@@ -28,7 +28,6 @@ from repro.core.distributions import DiscreteDistribution
 from repro.core.markov import MarkovParameter
 from repro.optimizer.costers import (
     ExpectedCoster,
-    MarkovCoster,
     MultiParamCoster,
     PointCoster,
 )
@@ -74,7 +73,7 @@ def _coster(kind: str):
             [0.3, 0.7],
             [[0.6, 0.4], [0.2, 0.8]],
         )
-        return MarkovCoster(chain)
+        return ExpectedCoster(chain)
     if kind == "multiparam-fast":
         return MultiParamCoster(MEMORY, fast=True)
     if kind == "multiparam-naive":

@@ -10,7 +10,6 @@ from repro.costmodel import formulas
 from repro.costmodel.model import CostModel
 from repro.optimizer.costers import (
     ExpectedCoster,
-    MarkovCoster,
     MultiParamCoster,
     PointCoster,
 )
@@ -80,21 +79,21 @@ class TestExpectedCoster:
         assert a == b
 
 
-class TestMarkovCoster:
+class TestExpectedCosterOverChain:
     def test_uses_phase_marginal(self, example_query):
         # Phase 0: all mass at 2000 (2 passes); phase 1: all at 700 (4).
         chain = MarkovParameter(
             [700.0, 2000.0], [0.0, 1.0], [[1.0, 0.0], [1.0, 0.0]]
         )
-        mc = MarkovCoster(chain)
+        mc = ExpectedCoster(chain)
         mc.bind(example_query)
         args = (JoinMethod.SORT_MERGE, frozenset(["A"]), frozenset(["B"]))
         assert mc.join_step_cost(*args, 0) == 2_800_000.0
         assert mc.join_step_cost(*args, 1) == 5_600_000.0
 
     def test_no_bushy_support(self, bimodal_memory):
-        mc = MarkovCoster(sticky_chain(bimodal_memory, 0.5))
-        assert not mc.supports_bushy()
+        mc = ExpectedCoster(sticky_chain(bimodal_memory, 0.5))
+        assert mc.requires_ordered_phases
 
 
 class TestMultiParamCoster:

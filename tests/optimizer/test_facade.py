@@ -13,7 +13,6 @@ from repro.core.markov import MarkovParameter, sticky_chain
 from repro.costmodel.model import CostModel
 from repro.optimizer.costers import (
     ExpectedCoster,
-    MarkovCoster,
     MultiParamCoster,
     PointCoster,
 )
@@ -64,7 +63,7 @@ class TestParityExample11:
     def test_markov(self):
         query, memory = example_1_1()
         chain = sticky_chain(memory, 0.7)
-        direct = SystemRDP(MarkovCoster(chain, cost_model=CostModel()))
+        direct = SystemRDP(ExpectedCoster(chain, cost_model=CostModel()))
         _assert_same(
             optimize(query, "markov", memory=chain, cost_model=CostModel()),
             direct.optimize(query),
@@ -110,7 +109,7 @@ class TestParityFourWay:
 
     def test_markov(self, four_way_query, small_memory_dist):
         chain = sticky_chain(small_memory_dist, 0.5)
-        direct = SystemRDP(MarkovCoster(chain, cost_model=CostModel()))
+        direct = SystemRDP(ExpectedCoster(chain, cost_model=CostModel()))
         _assert_same(
             optimize(
                 four_way_query, "dynamic", memory=chain, cost_model=CostModel()

@@ -8,7 +8,7 @@ import pytest
 from repro.core.distributions import point_mass
 from repro.core.markov import sticky_chain
 from repro.costmodel.model import DEFAULT_METHODS, CostModel
-from repro.optimizer.costers import ExpectedCoster, MarkovCoster, PointCoster
+from repro.optimizer.costers import ExpectedCoster, PointCoster
 from repro.optimizer.exhaustive import exhaustive_best
 from repro.optimizer.systemr import SystemRDP
 from repro.plans.nodes import Sort
@@ -72,7 +72,7 @@ class TestBasics:
     def test_markov_coster_rejects_bushy(self, bimodal_memory):
         chain = sticky_chain(bimodal_memory, 0.5)
         with pytest.raises(ValueError):
-            SystemRDP(MarkovCoster(chain), plan_space="bushy")
+            SystemRDP(ExpectedCoster(chain), plan_space="bushy")
 
 
 class TestAgainstExhaustive:
@@ -108,7 +108,7 @@ class TestAgainstExhaustive:
         q = chain_query(4, rng)
         chain = sticky_chain(small_memory_dist, 0.5 + 0.1 * seed)
         cm = CostModel(count_evaluations=False)
-        res = SystemRDP(MarkovCoster(chain)).optimize(q)
+        res = SystemRDP(ExpectedCoster(chain)).optimize(q)
         best, _ = exhaustive_best(
             q,
             lambda p: cm.plan_expected_cost_markov(p, q, chain),
